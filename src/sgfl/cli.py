@@ -252,21 +252,30 @@ def _cmd_analyze(args, config):
         raise SgflError("analyze needs --gens or --file")
 
     def verdicts_for(S):
-        jobs = [
-            (formula, m)
+        # One job per atom: its min_repl report serves every formula for
+        # which the atom is a candidate.
+        candidates = {
+            formula: candidate_atoms(S, formula)
             for formula in (Formula.LONGEST, Formula.SHORTEST)
-            for m in candidate_atoms(S, formula)
+        }
+        jobs = [
+            m for m in S.atoms if any(m in ms for ms in candidates.values())
         ]
 
-        def run(job):
-            formula, m = job
-            return check_formula(S, m, formula, budget=config.budget)
+        def run(m):
+            report = min_repl(S, m, budget=config.budget)
+            return [
+                check_formula(S, m, formula, budget=config.budget, report=report)
+                for formula, ms in candidates.items()
+                if m in ms
+            ]
 
         if config.parallelism > 1:
             with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                verdicts = list(pool.map(run, jobs))
+                per_atom = list(pool.map(run, jobs))
         else:
-            verdicts = [run(job) for job in jobs]
+            per_atom = [run(m) for m in jobs]
+        verdicts = [v for vs in per_atom for v in vs]
         verdicts.sort(key=lambda v: (v.formula.value, str(_jsonable(v.m))))
         return verdicts
 

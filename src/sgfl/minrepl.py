@@ -16,11 +16,18 @@ contribute nothing to the projection but are essential dominators: every
 atom yields a cancelling +a/-a column pair, and without them the frontier
 can oscillate forever.  The search therefore terminates without a priori
 coordinate bounds, which affine instances lack.
+
+The dominance pruning is indexed.  A frontier state is tested against a
+collected solution or projection only where the two can meet: a child
+x + e_i against those whose i-th coordinate equals the child's, and an
+open state against the projections collected at its own level (see
+_min_repl_affine for the invariant that makes these tests complete).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import le
 
 from .budget import BudgetMeter
 from .errors import MNotAtomError, ReportMismatchError
@@ -47,6 +54,13 @@ class MinReplReport:
     m2: tuple | None = None
     n1: tuple | None = None
     n2: tuple | None = None
+
+    def by_value(self):
+        """Evaluation -> the minimal vectors taking it, in vector order."""
+        groups = {}
+        for vec in self.minimal_vectors:
+            groups.setdefault(self.evaluations[vec], []).append(vec)
+        return groups
 
 
 def is_left_zero(vec):
@@ -127,12 +141,17 @@ def _axis_minima(S, m_vec, c_atoms):
     return out
 
 
+def _dominates_any(vectors, vec):
+    """True iff some vector of the list is coordinatewise <= vec."""
+    return any(all(map(le, d, vec)) for d in vectors)
+
+
 def _minimal_elements(vectors):
     """Coordinatewise-minimal elements of a finite set, lex-sorted."""
     ordered = sorted(set(vectors), key=lambda v: (sum(v), v))
     kept = []
     for v in ordered:
-        if not any(all(k <= c for k, c in zip(keep, v)) for keep in kept):
+        if not _dominates_any(kept, v):
             kept.append(v)
     return tuple(sorted(kept))
 
@@ -163,7 +182,7 @@ def _min_repl_numerical(S, m_vec, c_atoms, meter):
         meter.spend(len(frontier))
         next_frontier = {}
         for vec, value in frontier.items():
-            if any(all(p <= c for p, c in zip(sol, vec)) for sol in solutions):
+            if _dominates_any(solutions, vec):
                 continue
             if S.contains(value - m_val):
                 solutions.append(vec)
@@ -187,6 +206,21 @@ def _min_repl_affine(S, m_vec, c_atoms, meter):
     use the -m column are syzygies; they contribute no projection but
     dominate away the oscillations the cancelling +a/-a pairs would
     otherwise sustain.
+
+    Pruning is indexed by one invariant: every state on the frontier of
+    level L has coordinate sum L and was, when it was created, dominated
+    by no solution and its c-part by no projection of a lower level.  A
+    solution found at level L has the same sum as an open state of that
+    level, so it cannot dominate the state without equalling it; only the
+    projections new at level L (whose c-parts may be shorter) need a
+    re-check.  A surviving state is then dominated by nothing, so a
+    solution d can dominate its child state + e_i only if d[i] equals the
+    child's i-th coordinate, and likewise a projection when i < nc; for
+    i >= nc the child keeps the parent's undominated c-part.  Solutions
+    and projections are therefore bucketed by (coordinate, value), and a
+    child is tested only against its (i, child[i]) bucket.  The pruning
+    decisions, hence the frontiers and node counts, are exactly those of
+    the linear scan over every known solution.
     """
     dim = S.dim
     c_cols = list(c_atoms)
@@ -198,13 +232,16 @@ def _min_repl_affine(S, m_vec, c_atoms, meter):
     zero_defect = (0,) * dim
 
     projections = []  # known members of Repl; minimal ones survive at the end
-    dominators = []  # full solution vectors, syzygies included
+    # (coordinate, positive value) -> the full solutions (syzygies
+    # included) resp. the projections carrying that value there.
+    solutions_at = {}
+    projections_at = {}
+    descents = {}  # defect -> the columns i with <defect, column_i> < 0
 
-    def dominated_projection(cp):
-        return any(all(p <= c for p, c in zip(proj, cp)) for proj in projections)
-
-    def dominated_full(state):
-        return any(all(d <= s for d, s in zip(dom, state)) for dom in dominators)
+    def index(buckets, vec):
+        for i, v in enumerate(vec):
+            if v:
+                buckets.setdefault((i, v), []).append(vec)
 
     start = (0,) * nvars
     frontier = {
@@ -213,31 +250,40 @@ def _min_repl_affine(S, m_vec, c_atoms, meter):
     while frontier:
         meter.spend(len(frontier))
         # Collect this level's solutions before pruning against them.
+        level_projections = []
         open_states = {}
         for state, defect in frontier.items():
             if defect == zero_defect:
-                dominators.append(state)
+                index(solutions_at, state)
                 if state[t_index] == 1:
-                    projections.append(state[:nc])
+                    cp = state[:nc]
+                    projections.append(cp)
+                    level_projections.append(cp)
+                    index(projections_at, cp)
             else:
                 open_states[state] = defect
         next_frontier = {}
         for state, defect in open_states.items():
-            if dominated_projection(state[:nc]) or dominated_full(state):
+            if _dominates_any(level_projections, state[:nc]):
                 continue
-            for i in range(nvars):
+            down = descents.get(defect)
+            if down is None:
+                down = [i for i in range(nvars) if _dot(defect, cols[i]) < 0]
+                descents[defect] = down
+            for i in down:
                 if i == t_index and state[t_index] == 1:
                     continue
-                if _dot(defect, cols[i]) >= 0:
-                    continue
-                child = state[:i] + (state[i] + 1,) + state[i + 1 :]
+                value = state[i] + 1
+                child = state[:i] + (value,) + state[i + 1 :]
                 if child in next_frontier:
                     continue
                 # A child whose c-part dominates a known member can only
                 # produce dominated projections.
-                if dominated_projection(child[:nc]):
+                if i < nc and _dominates_any(
+                    projections_at.get((i, value), ()), child[:nc]
+                ):
                     continue
-                if dominated_full(child):
+                if _dominates_any(solutions_at.get((i, value), ()), child):
                     continue
                 next_frontier[child] = tuple(
                     d + c for d, c in zip(defect, cols[i])
@@ -294,9 +340,7 @@ def candidate_sets(S, m, report):
         raise ReportMismatchError(
             "report was produced for a different semigroup or atom"
         )
-    by_value = {}
-    for vec in report.minimal_vectors:
-        by_value.setdefault(report.evaluations[vec], []).append(vec)
+    by_value = report.by_value()
     values = sorted(by_value, key=_element_sort_key)
     minimal_values = [
         v

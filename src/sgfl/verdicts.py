@@ -25,7 +25,7 @@ from .errors import (
     NotNumericalError,
 )
 from .lengths import longest_length, shortest_length
-from .minrepl import is_left_zero, is_right_zero, min_repl
+from .minrepl import _element_sort_key, is_left_zero, is_right_zero, min_repl
 
 
 class Formula(enum.Enum):
@@ -77,10 +77,6 @@ def candidate_atoms(S, formula):
     return list(S.atoms)
 
 
-def _element_key(e):
-    return (e,) if isinstance(e, int) else tuple(e)
-
-
 def _length_fn(formula):
     return longest_length if _as_formula(formula) is Formula.LONGEST else shortest_length
 
@@ -97,9 +93,6 @@ def _check_targets(S, m, formula, report):
     descend to the evaluations dividing it (the minimal vectors below its
     extremal factorization may all evaluate to the element itself).
     """
-    by_value = {}
-    for vec in report.minimal_vectors:
-        by_value.setdefault(report.evaluations[vec], []).append(vec)
     m_elt = S.element(m)
     if formula is Formula.LONGEST:
         if S.is_numerical and m_elt == S.atoms[0]:
@@ -115,7 +108,9 @@ def _check_targets(S, m, formula, report):
         else:
             def keep(c):
                 return True
-    return [s for s, vecs in by_value.items() if any(keep(c) for c in vecs)]
+    return [
+        s for s, vecs in report.by_value().items() if any(keep(c) for c in vecs)
+    ]
 
 
 def check_formula(S, m, formula, budget=None, report=None):
@@ -142,7 +137,7 @@ def check_formula(S, m, formula, budget=None, report=None):
         return got
 
     checked = []
-    for s in sorted(targets, key=_element_key):
+    for s in sorted(targets, key=_element_sort_key):
         if S.dim == 1:
             prev = s - m_elt
         else:
@@ -289,7 +284,7 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         table = _length_tables_affine(S, bound + wm, formula)
         checked = []
         counterexamples = []
-        for s in sorted(table, key=_element_key):
+        for s in sorted(table, key=_element_sort_key):
             if S.grading_value(s) > bound:
                 continue
             shifted = tuple(a + b for a, b in zip(s, S.vector(m_elt)))
@@ -299,7 +294,7 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
                 counterexamples.append(check)
                 if not all_counterexamples:
                     break
-    counterexamples.sort(key=lambda c: _element_key(c.element))
+    counterexamples.sort(key=lambda c: _element_sort_key(c.element))
     return Verdict(
         formula=formula,
         m=m_elt,

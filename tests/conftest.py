@@ -6,6 +6,9 @@ on different machinery than the library paths they check:
 
 * box_min_repl: boxed product scan with a DP membership table, against
   the frontier-search min_repl;
+* affine_repl_box: the replaceable vectors of an affine instance in a
+  box, with membership from a grading-bounded enumeration of the span,
+  against the affine frontier search;
 * enumerate_factorizations_box: raw product enumeration over grading
   bounds, against the pruned factorization search;
 * oracle_scan (library, DP lengths) against check_formula (B&B lengths).
@@ -38,6 +41,8 @@ from sgfl.verdicts import check_formula
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 200
+AFFINE_SAMPLE_SEED = 20261018
+AFFINE_SAMPLE_SIZE = 40
 KUNZ_MODULI = (2, 3, 4, 5, 6, 7)
 KUNZ_COORD_CAP = 8
 
@@ -90,6 +95,82 @@ def box_min_repl(S, m):
         if member(sum(c * a for c, a in zip(vec, others)) - m)
     ]
     return [tuple(v) for v in minimal_of(hits)]
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def positive_grading(gens):
+    """A small integer functional taking a value >= 1 on every generator."""
+    dim = len(gens[0])
+    candidates = sorted(
+        itertools.product(range(-6, 7), repeat=dim),
+        key=lambda w: (sum(map(abs, w)), w),
+    )
+    for w in candidates:
+        if all(_dot(w, g) >= 1 for g in gens):
+            return w
+    raise ValueError(f"no small positive grading for {gens}")
+
+
+def affine_span(gens, grading, wbound):
+    """Every sum of gens whose grading value is at most wbound."""
+    zero = (0,) * len(gens[0])
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        v = stack.pop()
+        for g in gens:
+            u = tuple(a + b for a, b in zip(v, g))
+            if u not in seen and _dot(grading, u) <= wbound:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def _generated_by(v, gens):
+    grading = positive_grading(gens)
+    return v in affine_span(gens, grading, _dot(grading, v))
+
+
+def affine_repl_box(others, m, bound):
+    """Replaceable vectors over `others` (the atoms without m) in [0, bound]^n.
+
+    A vector c is replaceable when sum c_a * a - m lies in the span of
+    others + [m]; membership is read off the grading-bounded span, whose
+    bound covers every value the box produces.
+    """
+    gens = list(others) + [m]
+    grading = positive_grading(gens)
+    values = {}
+    for vec in itertools.product(range(bound + 1), repeat=len(others)):
+        total = [-x for x in m]
+        for c, a in zip(vec, others):
+            for j, x in enumerate(a):
+                total[j] += c * x
+        values[vec] = tuple(total)
+    wbound = max(_dot(grading, v) for v in values.values())
+    span = affine_span(gens, grading, wbound)
+    return {vec for vec, value in values.items() if value in span}
+
+
+def sample_affine_atom_sets(seed=AFFINE_SAMPLE_SEED, size=AFFINE_SAMPLE_SIZE):
+    """Seeded sets of 3 minimal generators among the nonzero points of [0,4]^2."""
+    rng = random.Random(seed)
+    cells = [(a, b) for a in range(5) for b in range(5) if (a, b) != (0, 0)]
+    seen = set()
+    out = []
+    while len(out) < size:
+        atoms = tuple(sorted(rng.sample(cells, 3)))
+        if atoms in seen:
+            continue
+        seen.add(atoms)
+        if not any(
+            _generated_by(g, [h for h in atoms if h != g]) for g in atoms
+        ):
+            out.append(atoms)
+    return out
 
 
 def enumerate_factorizations_box(S, v):

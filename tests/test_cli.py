@@ -4,6 +4,7 @@ import os
 import jsonschema
 import pytest
 
+import sgfl.cli
 from sgfl.cli import main
 
 SCHEMA_PATH = os.path.join(
@@ -133,12 +134,38 @@ def test_analyze_file_input(capsys, schema, tmp_path):
     assert len(report["result"][1]["verdicts"]) == 6
 
 
+WIDE_PLANE = "(3,0),(7,0),(11,0),(6,1),(0,3)"
+
+
 def test_analyze_parallelism_is_deterministic(capsys):
-    _, sequential, _ = run_cli(capsys, "analyze", "--gens", "10,12,21,38")
-    _, parallel, _ = run_cli(
-        capsys, "analyze", "--gens", "10,12,21,38", "--parallelism", "2",
-    )
-    assert json.loads(sequential)["result"] == json.loads(parallel)["result"]
+    for gens in ("10,12,21,38", WIDE_PLANE):
+        _, sequential, _ = run_cli(capsys, "analyze", "--gens", gens)
+        _, parallel, _ = run_cli(
+            capsys, "analyze", "--gens", gens, "--parallelism", "2",
+        )
+        assert json.loads(sequential)["result"] == json.loads(parallel)["result"]
+
+
+def test_analyze_solves_each_atom_once(capsys, monkeypatch):
+    calls = []
+    original = sgfl.cli.min_repl
+
+    def counting_min_repl(S, m, *args, **kwargs):
+        calls.append(m)
+        return original(S, m, *args, **kwargs)
+
+    monkeypatch.setattr(sgfl.cli, "min_repl", counting_min_repl)
+    atoms = [(0, 3), (3, 0), (6, 1), (7, 0), (11, 0)]
+    for parallelism in ("1", "2"):
+        calls.clear()
+        code, out, _ = run_cli(
+            capsys, "analyze", "--gens", WIDE_PLANE,
+            "--parallelism", parallelism,
+        )
+        assert code == 0
+        assert sorted(calls) == atoms
+        verdicts = json.loads(out)["result"][0]["verdicts"]
+        assert len(verdicts) == 2 * len(atoms)
 
 
 def test_byte_determinism(capsys):

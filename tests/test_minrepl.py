@@ -15,6 +15,8 @@ from sgfl.minrepl import (
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import check_formula, oracle_scan
 
+from conftest import affine_repl_box, sample_affine_atom_sets
+
 
 @pytest.fixture(scope="module")
 def chicken():
@@ -159,6 +161,32 @@ def test_minimality_property(chicken):
 def test_completeness_against_box_oracle(minrepl_box_results):
     for S, m, frontier, boxed in minrepl_box_results:
         assert frontier == boxed, (S.atoms, m)
+
+
+def _assert_matches_affine_box(S, m):
+    report = min_repl(S, m)
+    computed = report.minimal_vectors
+    bound = max((max(vec) for vec in computed), default=0) + 1
+    replaceable = affine_repl_box(report.atom_index, m, bound)
+    for vec in computed:
+        assert vec in replaceable, (S.atoms, m, vec)
+        for i in range(len(vec)):
+            if vec[i]:
+                lower = vec[:i] + (vec[i] - 1,) + vec[i + 1 :]
+                assert lower not in replaceable, (S.atoms, m, lower)
+    for vec in replaceable:
+        assert any(
+            all(c <= v for c, v in zip(low, vec)) for low in computed
+        ), (S.atoms, m, vec)
+
+
+def test_min_repl_affine_against_box_oracle(plane_wide):
+    for m in plane_wide.atoms:
+        _assert_matches_affine_box(plane_wide, m)
+    for atoms in sample_affine_atom_sets():
+        S = new_semigroup(list(atoms), dim=2)
+        for m in S.atoms:
+            _assert_matches_affine_box(S, m)
 
 
 def _strip_coordinate(vec, index):
