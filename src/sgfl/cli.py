@@ -2,7 +2,7 @@
 
 Subcommands: analyze, minrepl, verdict, oracle, kunz, paper-examples.
 All reports carry the schema tag "sgfl/1" and are byte-deterministic for
-a fixed argv and seed; list-valued output is always canonically sorted.
+a fixed argv; list-valued output is always canonically sorted.
 Exit codes: 0 success, 1 a requested verdict failed under --assert-holds
 (or an example row mismatched), 2 usage or input errors.
 """
@@ -10,11 +10,11 @@ Exit codes: 0 success, 1 a requested verdict failed under --assert-holds
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .budget import DEFAULT_BUDGET
@@ -46,14 +46,10 @@ SCHEMA = "sgfl/1"
 class RunConfig:
     budget: int = DEFAULT_BUDGET
     output: str = "json"
-    parallelism: int = 1
-    seed: int = 0
 
     def validate(self):
         if self.budget <= 0:
             raise SgflError("budget must be positive")
-        if self.parallelism < 1:
-            raise SgflError("parallelism must be at least 1")
         if self.output not in ("json", "tsv", "pretty"):
             raise SgflError(f"unknown output format {self.output!r}")
 
@@ -189,7 +185,7 @@ def kunz_verdict_json(v):
     }
 
 
-def _emit(payload, config):
+def _emit(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -197,11 +193,7 @@ def _envelope(command, config, result):
     return {
         "schema": SCHEMA,
         "command": command,
-        "config": {
-            "budget": config.budget,
-            "parallelism": config.parallelism,
-            "seed": config.seed,
-        },
+        "config": {"budget": config.budget},
         "result": result,
     }
 
@@ -252,30 +244,22 @@ def _cmd_analyze(args, config):
         raise SgflError("analyze needs --gens or --file")
 
     def verdicts_for(S):
-        # One job per atom: its min_repl report serves every formula for
-        # which the atom is a candidate.
+        # One min_repl report per atom serves every formula for which the
+        # atom is a candidate.
         candidates = {
             formula: candidate_atoms(S, formula)
             for formula in (Formula.LONGEST, Formula.SHORTEST)
         }
-        jobs = [
-            m for m in S.atoms if any(m in ms for ms in candidates.values())
-        ]
-
-        def run(m):
+        verdicts = []
+        for m in S.atoms:
+            if not any(m in ms for ms in candidates.values()):
+                continue
             report = min_repl(S, m, budget=config.budget)
-            return [
+            verdicts.extend(
                 check_formula(S, m, formula, budget=config.budget, report=report)
                 for formula, ms in candidates.items()
                 if m in ms
-            ]
-
-        if config.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                per_atom = list(pool.map(run, jobs))
-        else:
-            per_atom = [run(m) for m in jobs]
-        verdicts = [v for vs in per_atom for v in vs]
+            )
         verdicts.sort(key=lambda v: (v.formula.value, str(_jsonable(v.m))))
         return verdicts
 
@@ -305,7 +289,7 @@ def _cmd_analyze(args, config):
         return _verdict_rows_tsv(rows), exit_code
     if config.output == "pretty":
         return _verdict_rows_pretty(rows), exit_code
-    return _emit(_envelope("analyze", config, result), config), exit_code
+    return _emit(_envelope("analyze", config, result)), exit_code
 
 
 def _cmd_minrepl(args, config):
@@ -322,7 +306,7 @@ def _cmd_minrepl(args, config):
         lines.append(f"M1={_jsonable(report.m1)} M2={_jsonable(report.m2)}")
         lines.append(f"N1={_jsonable(report.n1)} N2={_jsonable(report.n2)}")
         return "\n".join(lines) + "\n", 0
-    return _emit(_envelope("minrepl", config, minrepl_json(report)), config), 0
+    return _emit(_envelope("minrepl", config, minrepl_json(report))), 0
 
 
 def _cmd_verdict(args, config):
@@ -348,7 +332,7 @@ def _cmd_verdict(args, config):
         return _verdict_rows_tsv([row]), exit_code
     if config.output == "pretty":
         return _verdict_rows_pretty([row]), exit_code
-    return _emit(_envelope("verdict", config, row), config), exit_code
+    return _emit(_envelope("verdict", config, row)), exit_code
 
 
 def _cmd_oracle(args, config):
@@ -385,7 +369,7 @@ def _cmd_kunz(args, config):
         result["cominimal"] = cominimal(point, other)
     if config.output != "json":
         raise SgflError("kunz reports are not flat; use json output")
-    return _emit(_envelope("kunz", config, result), config), exit_code
+    return _emit(_envelope("kunz", config, result)), exit_code
 
 
 def _cmd_paper_examples(args, config):
@@ -415,7 +399,7 @@ def _cmd_paper_examples(args, config):
         return "\n".join(lines + [counts]) + "\n", exit_code
     if config.output == "tsv":
         raise SgflError("example reports are not flat; use json or pretty")
-    return _emit(_envelope("paper-examples", config, result), config), exit_code
+    return _emit(_envelope("paper-examples", config, result)), exit_code
 
 
 def _add_run_options(parser, suppress=False):
@@ -425,12 +409,11 @@ def _add_run_options(parser, suppress=False):
                         help="node budget for searches (env SGFL_BUDGET)")
     parser.add_argument("--output", choices=("json", "tsv", "pretty"),
                         default=default if suppress else "json")
-    parser.add_argument("--parallelism", type=int,
-                        default=default if suppress else 1)
-    parser.add_argument("--seed", type=int, default=default if suppress else 0)
 
 
+@functools.cache
 def build_parser():
+    """The sgfl argument parser, built on first use and reused after."""
     parser = argparse.ArgumentParser(
         prog="sgfl",
         description=(
@@ -512,12 +495,7 @@ def main(argv=None):
     budget = args.budget
     if budget is None:
         budget = int(os.environ.get("SGFL_BUDGET", DEFAULT_BUDGET))
-    config = RunConfig(
-        budget=budget,
-        output=args.output,
-        parallelism=args.parallelism,
-        seed=args.seed,
-    )
+    config = RunConfig(budget=budget, output=args.output)
     try:
         config.validate()
         text, exit_code = args.func(args, config)

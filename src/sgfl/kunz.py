@@ -30,6 +30,7 @@ from .errors import (
     NotIntegerPointError,
     NotReducedError,
 )
+from .minrepl import _minimal_elements
 from .semigroups import minimal_generating_subset, new_semigroup
 from .verdicts import Formula, _as_formula
 
@@ -107,9 +108,9 @@ class KunzPoint:
 
     All derived structure (tight pairs, the order relations, the extended
     operation table, atoms, and the minimal factorizations of INFINITY) is
-    computed eagerly at construction into immutable caches, so instances
-    are safe to share between threads; only the length-extreme memo is
-    filled lazily, with deterministic values.
+    computed eagerly at construction into immutable caches; only the
+    length-extreme and pseudomin memos are filled lazily, with
+    deterministic values.
     """
 
     context: KunzContext
@@ -246,13 +247,8 @@ def _minimal_infinity_factorizations(ctx, oplus_table, atoms, power_bounds):
             count += 1
 
     rec(0, (), 0)
-    hits.sort(key=lambda v: (sum(v), v))
-    kept = []
-    for v in hits:
-        if not any(all(k <= c for k, c in zip(keep, v)) for keep in kept):
-            kept.append(v)
     out = []
-    for counts in sorted(kept):
+    for counts in _minimal_elements(hits):
         beta = sum(c * a for c, a in zip(counts, atoms)) % ctx.m
         out.append(
             InfFactorization(

@@ -115,27 +115,18 @@ def repl_contains(S, m, c):
 
 
 def _axis_minima(S, m_vec, c_atoms):
-    """Per-atom minima A_i = min{c : c*a - m in S}; dimension 1 only.
+    """Per-atom minima A_i = min{c >= 1 : c*a - m in S}; dimension 1 only.
 
     Each A_i * e_i is itself a minimal replaceable vector (any smaller
     vector on the axis fails by definition of the minimum), so these seed
     the solution list and confine the frontier to the box under them.
+    The search stops by c = m, since m*a - m = (a - 1)*m lies in S.
     """
-    scale = S.gcd
-    if scale == 1:
-        cap = S.frobenius() + m_vec[0]  # beyond cap, values are always in S
-    else:
-        # Dividing a minimal generator list by its gcd keeps it minimal.
-        from .semigroups import new_semigroup
-
-        reduced = new_semigroup(sorted(g[0] // scale for g in S.generators))
-        cap = reduced.frobenius() * scale + m_vec[0]
+    m_val = m_vec[0]
     out = []
-    for a in c_atoms:
+    for (a,) in c_atoms:
         c = 1
-        while a[0] * c - m_vec[0] <= cap:
-            if S.contains(a[0] * c - m_vec[0]):
-                break
+        while not S.contains(c * a - m_val):
             c += 1
         out.append(c)
     return out

@@ -54,14 +54,39 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _least_per_residue(gens, modulus):
+    """Least N-combination of gens in each residue class modulo modulus.
+
+    Single-source shortest paths on the residue graph whose edges add one
+    generator at a time.  Residues no combination reaches stay None, which
+    happens exactly when gcd(gens, modulus) > 1.
+    """
+    least = [None] * modulus
+    least[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if least[r] != d:
+            continue
+        for g in gens:
+            nd = d + g
+            nr = (r + g) % modulus
+            if least[nr] is None or nd < least[nr]:
+                least[nr] = nd
+                heapq.heappush(heap, (nd, nr))
+    return least
+
+
 class _MemberOracle:
     """Decides membership of lattice vectors in the span of a generator list.
 
-    Dimension 1 uses an incrementally extended DP table.  Higher dimensions
-    use an iterative depth-first search on residual vectors, ordered by
-    decreasing grading value, memoized on the residual.  A residual with a
-    negative grading value is rejected immediately, which bounds the search
-    because w(g) >= 1 for every generator.
+    Dimension 1 keeps one table, the least element per residue class modulo
+    the smallest generator n1: n is in the span iff n is at least the entry
+    for n mod n1 (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).
+    Higher dimensions use an iterative depth-first search on residual
+    vectors, ordered by decreasing grading value, memoized on the residual.
+    A residual with a negative grading value is rejected immediately, which
+    bounds the search because w(g) >= 1 for every generator.
     """
 
     def __init__(self, generators, grading, dim):
@@ -70,8 +95,9 @@ class _MemberOracle:
         self.generators = tuple(generators)
         self._zero = (0,) * dim
         if dim == 1:
-            self._table = [True]  # membership of 0, 1, 2, ...
-            self._gens1 = sorted(g[0] for g in self.generators)
+            gens = [g[0] for g in self.generators]
+            self.modulus = min(gens)
+            self.least = _least_per_residue(gens, self.modulus)
         else:
             self._memo = {}
             self._gens_dec = sorted(
@@ -80,21 +106,10 @@ class _MemberOracle:
 
     def contains(self, vec):
         if self.dim == 1:
-            return self._contains_1d(vec[0])
+            n = vec[0]
+            least = self.least[n % self.modulus]
+            return least is not None and n >= least
         return self._contains_affine(vec)
-
-    def _contains_1d(self, n):
-        if n < 0:
-            return False
-        table = self._table
-        if n < len(table):
-            return table[n]
-        gens = self._gens1
-        if not gens:
-            return n == 0
-        for i in range(len(table), n + 1):
-            table.append(any(i >= g and table[i - g] for g in gens))
-        return table[n]
 
     def _contains_affine(self, vec):
         if vec == self._zero:
@@ -185,10 +200,9 @@ def _combination_witness(target, generators, oracle):
 class SemigroupPresentation:
     """A validated minimal presentation of a pointed semigroup in Z^d.
 
-    Instances are immutable after construction and safe to share across
-    threads: the membership memo only ever accretes entries whose values
-    are deterministic functions of the presentation, so concurrent calls
-    to :meth:`contains` return the same results as sequential execution.
+    Instances are not changed after construction, apart from the affine
+    membership memo and the Apery cache, which only gain entries that are
+    deterministic functions of the presentation.
     """
 
     def __init__(self, generators, dim, grading, generator_gcd):
@@ -269,41 +283,21 @@ class SemigroupPresentation:
             )
 
     def apery_set(self, m):
-        """Least element of S in each residue class modulo m, indexed 0..m-1.
-
-        Computed as single-source shortest paths on the residue graph whose
-        edges add one generator at a time.
-        """
+        """Least element of S in each residue class modulo m, indexed 0..m-1."""
         self._require_numerical()
         m = self.element(m)
         if m <= 0 or not self.contains(m):
             raise MNotInSError(f"{m} is not a nonzero element of {self!r}")
         cached = self._apery_cache.get(m)
-        if cached is not None:
-            return list(cached)
-        dist = [None] * m
-        dist[0] = 0
-        heap = [(0, 0)]
-        gens = [g[0] for g in self.generators]
-        while heap:
-            d, r = heapq.heappop(heap)
-            if dist[r] != d:
-                continue
-            for g in gens:
-                nd = d + g
-                nr = (r + g) % m
-                if dist[nr] is None or nd < dist[nr]:
-                    dist[nr] = nd
-                    heapq.heappush(heap, (nd, nr))
-        result = tuple(dist)
-        self._apery_cache[m] = result
-        return list(result)
+        if cached is None:
+            gens = [g[0] for g in self.generators]
+            cached = self._apery_cache[m] = tuple(_least_per_residue(gens, m))
+        return list(cached)
 
     def frobenius(self):
         """Largest integer outside S (-1 when S is all of N)."""
         self._require_numerical()
-        m = self.generators[0][0]
-        return max(self.apery_set(m)) - m
+        return max(self._oracle.least) - self._oracle.modulus
 
 
 def minimal_generating_subset(vectors, dim):

@@ -137,13 +137,11 @@ def test_analyze_file_input(capsys, schema, tmp_path):
 WIDE_PLANE = "(3,0),(7,0),(11,0),(6,1),(0,3)"
 
 
-def test_analyze_parallelism_is_deterministic(capsys):
+def test_analyze_repeat_runs_are_byte_identical(capsys):
     for gens in ("10,12,21,38", WIDE_PLANE):
-        _, sequential, _ = run_cli(capsys, "analyze", "--gens", gens)
-        _, parallel, _ = run_cli(
-            capsys, "analyze", "--gens", gens, "--parallelism", "2",
-        )
-        assert json.loads(sequential)["result"] == json.loads(parallel)["result"]
+        _, first, _ = run_cli(capsys, "analyze", "--gens", gens)
+        _, second, _ = run_cli(capsys, "analyze", "--gens", gens)
+        assert first == second
 
 
 def test_analyze_solves_each_atom_once(capsys, monkeypatch):
@@ -156,24 +154,40 @@ def test_analyze_solves_each_atom_once(capsys, monkeypatch):
 
     monkeypatch.setattr(sgfl.cli, "min_repl", counting_min_repl)
     atoms = [(0, 3), (3, 0), (6, 1), (7, 0), (11, 0)]
-    for parallelism in ("1", "2"):
-        calls.clear()
-        code, out, _ = run_cli(
-            capsys, "analyze", "--gens", WIDE_PLANE,
-            "--parallelism", parallelism,
-        )
-        assert code == 0
-        assert sorted(calls) == atoms
-        verdicts = json.loads(out)["result"][0]["verdicts"]
-        assert len(verdicts) == 2 * len(atoms)
+    code, out, _ = run_cli(capsys, "analyze", "--gens", WIDE_PLANE)
+    assert code == 0
+    assert sorted(calls) == atoms
+    verdicts = json.loads(out)["result"][0]["verdicts"]
+    assert len(verdicts) == 2 * len(atoms)
 
 
 def test_byte_determinism(capsys):
     args = ("kunz", "point", "--m", "5", "--x", "0,1,2,1,2",
-            "--verdict", "longest", "--seed", "7")
+            "--verdict", "longest")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    args = ("analyze", "--gens", "10,12,21,38", "--element", "48")
+    _, first, _ = run_cli(capsys, *args)
+    _, second, _ = run_cli(capsys, *args)
+    assert first == second
+    assert "elements" in json.loads(first)["result"][0]
+    _, third, _ = run_cli(capsys, "analyze", "--gens", "10,12,21,38")
+    assert "elements" not in json.loads(third)["result"][0]
+
+
+def test_removed_run_options_are_usage_errors(capsys):
+    for option in (("--seed", "1"), ("--parallelism", "2")):
+        for argv in (
+            [*option, "analyze", "--gens", "6,9,20"],
+            ["analyze", "--gens", "6,9,20", *option],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
 
 
 def test_tsv_output(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,12 @@ from sgfl.minrepl import (
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import check_formula, oracle_scan
 
-from conftest import affine_repl_box, sample_affine_atom_sets
+from conftest import (
+    affine_repl_box,
+    membership_table,
+    minimal_of,
+    sample_affine_atom_sets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +167,28 @@ def test_minimality_property(chicken):
 def test_completeness_against_box_oracle(minrepl_box_results):
     for S, m, frontier, boxed in minrepl_box_results:
         assert frontier == boxed, (S.atoms, m)
+
+
+def test_min_repl_gcd_above_one_against_box():
+    # A gcd > 1 list spans no numerical semigroup, so no Frobenius number
+    # bounds the search; m*e_i is always replaceable, so the box [0, m]
+    # holds every minimal vector.
+    assert min_repl(new_semigroup([4, 6]), 4).minimal_vectors == ((2,),)
+    assert min_repl(new_semigroup([4, 6]), 6).minimal_vectors == ((3,),)
+    for gens in ([4, 6], [6, 10, 14], [9, 15, 21]):
+        S = new_semigroup(gens)
+        for m in S.atoms:
+            others = [a for a in S.atoms if a != m]
+            table = membership_table(S.atoms, m * sum(others))
+            hits = [
+                vec
+                for vec in itertools.product(range(m + 1), repeat=len(others))
+                if sum(c * a for c, a in zip(vec, others)) >= m
+                and table[sum(c * a for c, a in zip(vec, others)) - m]
+            ]
+            assert list(min_repl(S, m).minimal_vectors) == minimal_of(hits), (
+                gens, m,
+            )
 
 
 def _assert_matches_affine_box(S, m):

@@ -12,6 +12,8 @@ from sgfl.errors import (
 )
 from sgfl.semigroups import minimal_generating_subset, new_semigroup
 
+from conftest import membership_table
+
 
 @pytest.fixture(scope="module")
 def chicken():
@@ -201,3 +203,69 @@ def test_combination_witness(chicken):
     counts = chicken.combination_of(48)
     assert sum(c * g for c, g in zip(counts, chicken.atoms)) == 48
     assert chicken.combination_of(11) is None
+
+
+def _seeded_numerical_lists(seed, count):
+    """Minimal dimension-1 generator lists in shuffled order, gcd > 1 too."""
+    rng = random.Random(seed)
+    lists = [[4, 6], [6, 10, 14], [14, 6, 10], [21, 10, 38, 12], [9, 7, 5]]
+    while len(lists) < count:
+        scale = rng.choice((1, 1, 1, 2, 3))
+        gens = [scale * g for g in rng.sample(range(2, 30), rng.randint(2, 5))]
+        try:
+            new_semigroup(gens)
+        except NotMinimalError:
+            continue
+        lists.append(gens)
+    return lists
+
+
+def test_contains_matches_independent_table():
+    for gens in _seeded_numerical_lists(20261018, 60):
+        S = new_semigroup(gens)
+        n1, nk = min(gens), max(gens)
+        table = membership_table(gens, 3 * nk)
+        for n in range(-n1, 3 * nk + 1):
+            assert S.contains(n) == (n >= 0 and table[n]), (gens, n)
+
+
+def test_apery_and_frobenius_match_independent_table():
+    # Every Apery element of <n1, ..., nk> modulo n1 is below n1 * nk.
+    for gens in _seeded_numerical_lists(20261019, 60):
+        S = new_semigroup(gens)
+        if not S.is_numerical:
+            continue
+        n1, nk = min(gens), max(gens)
+        table = membership_table(gens, n1 * nk)
+        least = [None] * n1
+        for n in range(n1 * nk, -1, -1):
+            if table[n]:
+                least[n % n1] = n
+        assert S.apery_set(n1) == least, gens
+        gaps = [n for n in range(n1 * nk + 1) if not table[n]]
+        assert S.frobenius() == max(gaps, default=-1), gens
+
+
+def test_minimal_generating_subset_matches_independent_table():
+    # Shuffled lists, redundant members included: the kept atoms are the
+    # members outside the span of the rest, in the order given.
+    rng = random.Random(20261020)
+    for _ in range(60):
+        gens = rng.sample(range(2, 40), rng.randint(2, 6))
+        kept = [v[0] for v in minimal_generating_subset([(g,) for g in gens], 1)]
+        expected = [
+            g
+            for g in gens
+            if not membership_table([h for h in gens if h != g], g)[g]
+        ]
+        assert kept == expected, gens
+
+
+def test_contains_large_values(chicken):
+    # Membership needs no structure that grows with the queried value.
+    assert chicken.contains(10**15)
+    assert chicken.contains(10**15 + 1)
+    S = new_semigroup([4, 6])
+    assert S.contains(10**15)
+    assert not S.contains(10**15 + 1)
+    assert not S.contains(-(10**15))
