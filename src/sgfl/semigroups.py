@@ -83,6 +83,8 @@ class _MemberOracle:
     Dimension 1 keeps one table, the least element per residue class modulo
     the smallest generator n1: n is in the span iff n is at least the entry
     for n mod n1 (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).
+    The table is built on the first query n >= n1; below n1 only 0 is in the
+    span, so a query smaller than n1 never pays for n1 entries.
     Higher dimensions use an iterative depth-first search on residual
     vectors, ordered by decreasing grading value, memoized on the residual.
     A residual with a negative grading value is rejected immediately, which
@@ -95,9 +97,8 @@ class _MemberOracle:
         self.generators = tuple(generators)
         self._zero = (0,) * dim
         if dim == 1:
-            gens = [g[0] for g in self.generators]
-            self.modulus = min(gens)
-            self.least = _least_per_residue(gens, self.modulus)
+            self.modulus = min(g[0] for g in self.generators)
+            self._least = None
         else:
             self._memo = {}
             self._gens_dec = sorted(
@@ -107,9 +108,18 @@ class _MemberOracle:
     def contains(self, vec):
         if self.dim == 1:
             n = vec[0]
-            least = self.least[n % self.modulus]
+            if n < self.modulus:
+                return n == 0
+            least = self.least_per_residue()[n % self.modulus]
             return least is not None and n >= least
         return self._contains_affine(vec)
+
+    def least_per_residue(self):
+        """The dimension-1 table modulo n1, built on first use."""
+        if self._least is None:
+            gens = [g[0] for g in self.generators]
+            self._least = _least_per_residue(gens, self.modulus)
+        return self._least
 
     def _contains_affine(self, vec):
         if vec == self._zero:
@@ -201,8 +211,9 @@ class SemigroupPresentation:
     """A validated minimal presentation of a pointed semigroup in Z^d.
 
     Instances are not changed after construction, apart from the affine
-    membership memo and the Apery cache, which only gain entries that are
-    deterministic functions of the presentation.
+    membership memo, the dimension-1 residue table (built on first use) and
+    the Apery cache, which only gain entries that are deterministic
+    functions of the presentation.
     """
 
     def __init__(self, generators, dim, grading, generator_gcd):
@@ -288,6 +299,8 @@ class SemigroupPresentation:
         m = self.element(m)
         if m <= 0 or not self.contains(m):
             raise MNotInSError(f"{m} is not a nonzero element of {self!r}")
+        if m == self._oracle.modulus:
+            return list(self._oracle.least_per_residue())
         cached = self._apery_cache.get(m)
         if cached is None:
             gens = [g[0] for g in self.generators]
@@ -297,7 +310,7 @@ class SemigroupPresentation:
     def frobenius(self):
         """Largest integer outside S (-1 when S is all of N)."""
         self._require_numerical()
-        return max(self._oracle.least) - self._oracle.modulus
+        return max(self._oracle.least_per_residue()) - self._oracle.modulus
 
 
 def minimal_generating_subset(vectors, dim):

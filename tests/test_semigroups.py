@@ -10,6 +10,8 @@ from sgfl.errors import (
     NotNumericalError,
     NotPointedError,
 )
+from sgfl import semigroups
+from sgfl.kunz import kunz_point, numerical_context, semigroup_of_point
 from sgfl.semigroups import minimal_generating_subset, new_semigroup
 
 from conftest import membership_table
@@ -269,3 +271,31 @@ def test_contains_large_values(chicken):
     assert S.contains(10**15)
     assert not S.contains(10**15 + 1)
     assert not S.contains(-(10**15))
+
+
+def test_residue_tables_sized_by_queried_span(monkeypatch):
+    # Checking that 2 is an atom of <2, 10**9 + 1> asks whether 2 lies in
+    # <10**9 + 1>; that answer needs no table modulo 10**9 + 1.  The same
+    # holds for the Kunz point below, whose atoms 3e8 + 1 and 3e8 + 2 are
+    # checked against spans of 3.  Any table over 1000 entries fails here
+    # before it is allocated.
+    moduli = []
+    real = semigroups._least_per_residue
+
+    def recording(gens, modulus):
+        assert modulus <= 1000, f"table modulo {modulus}"
+        moduli.append(modulus)
+        return real(gens, modulus)
+
+    monkeypatch.setattr(semigroups, "_least_per_residue", recording)
+    S = new_semigroup([2, 10**9 + 1])
+    assert S.contains(10**9 + 3)
+    assert not S.contains(10**9 - 1)
+    assert S.frobenius() == 10**9 - 1
+    built = len(moduli)
+    assert S.apery_set(2) == [0, 10**9 + 1]
+    assert len(moduli) == built  # apery_set(n1) reads the oracle's table
+
+    ctx = numerical_context(3)
+    point = kunz_point(ctx, [0, 10**8, 10**8])
+    assert semigroup_of_point(ctx, point).atoms == (3, 3 * 10**8 + 1, 3 * 10**8 + 2)
