@@ -21,7 +21,6 @@ from .errors import (
     MNotAtomError,
     MNotInSError,
     NoFactorizationError,
-    NonIntegralError,
     NotEmbDim3Error,
     NotInSemigroupError,
     NotIntegerPointError,

@@ -1,6 +1,6 @@
 """Node budgets for searches that can blow up on oversized instances."""
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SgflError
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -14,7 +14,7 @@ class BudgetMeter:
         if budget is None:
             budget = DEFAULT_BUDGET
         if budget <= 0:
-            raise ValueError("budget must be positive")
+            raise SgflError("budget must be positive")
         self.allowance = budget
         self.remaining = budget
 

@@ -50,11 +50,28 @@ class RunConfig:
     def validate(self):
         if self.budget <= 0:
             raise SgflError("budget must be positive")
-        if self.output not in ("json", "tsv", "pretty"):
-            raise SgflError(f"unknown output format {self.output!r}")
 
 
 # -- input grammar ----------------------------------------------------------
+
+def _ints(text):
+    """The comma-separated integers of text; SgflError on a token that is
+    not an integer or when there are none."""
+    try:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise SgflError(f"expected integers, got {text!r}")
+    return values
+
+
+def _int(text):
+    values = _ints(text)
+    if len(values) != 1:
+        raise SgflError(f"expected one integer, got {text!r}")
+    return values[0]
+
 
 def parse_generators(text, dim=None):
     """Parse `10,12,21,38` or `(2,0),(3,1),(0,5)` into a generator list."""
@@ -63,10 +80,10 @@ def parse_generators(text, dim=None):
         tuples = re.findall(r"\(([^()]*)\)", text)
         if not tuples:
             raise SgflError(f"could not parse generators from {text!r}")
-        gens = [tuple(int(p) for p in t.split(",") if p.strip()) for t in tuples]
+        gens = [tuple(_ints(t)) for t in tuples]
         inferred = len(gens[0])
     else:
-        gens = [int(p) for p in text.split(",") if p.strip()]
+        gens = _ints(text)
         inferred = 1
     if dim is not None and dim != inferred:
         raise SgflError(f"generators look {inferred}-dimensional, --dim says {dim}")
@@ -76,12 +93,10 @@ def parse_generators(text, dim=None):
 def parse_element(text, dim):
     text = text.strip()
     if "(" in text:
-        inner = text.strip("()")
-        vec = tuple(int(p) for p in inner.split(",") if p.strip())
-        return vec
+        return tuple(_ints(text.strip("()")))
     if dim == 1:
-        return int(text)
-    return tuple(int(p) for p in text.split(",") if p.strip())
+        return _int(text)
+    return tuple(_ints(text))
 
 
 def parse_semigroup_line(line):
@@ -95,7 +110,7 @@ def parse_semigroup_line(line):
         key, _, value = part.partition("=")
         key = key.strip().lower()
         if key == "dim":
-            dim = int(value)
+            dim = _int(value)
         elif key == "gens":
             gens_text = value.strip()
         else:
@@ -344,8 +359,7 @@ def _cmd_kunz(args, config):
     if args.kunz_command != "point":
         raise SgflError("the kunz subcommand is `kunz point`")
     ctx = numerical_context(args.m)
-    coords = [int(p) for p in args.x.split(",") if p.strip()]
-    point = kunz_point(ctx, coords)
+    point = kunz_point(ctx, _ints(args.x))
     S = semigroup_of_point(ctx, point)
     result = {
         "m": args.m,
@@ -365,7 +379,7 @@ def _cmd_kunz(args, config):
         if args.assert_holds and not v.holds:
             exit_code = 1
     if args.cominimal:
-        other = kunz_point(ctx, [int(p) for p in args.cominimal.split(",")])
+        other = kunz_point(ctx, _ints(args.cominimal))
         result["cominimal"] = cominimal(point, other)
     if config.output != "json":
         raise SgflError("kunz reports are not flat; use json output")
@@ -492,11 +506,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("SGFL_BUDGET", DEFAULT_BUDGET))
-    config = RunConfig(budget=budget, output=args.output)
     try:
+        budget = args.budget
+        if budget is None:
+            budget = _int(os.environ.get("SGFL_BUDGET", str(DEFAULT_BUDGET)))
+        config = RunConfig(budget=budget, output=args.output)
         config.validate()
         text, exit_code = args.func(args, config)
     except SgflError as exc:

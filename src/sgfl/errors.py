@@ -83,10 +83,6 @@ class NoFactorizationError(SgflError):
     """A nonzero element has no factorization into the available atoms."""
 
 
-class NonIntegralError(SgflError):
-    """A structure constant failed to be integral (internal inconsistency)."""
-
-
 class DifferentFaceError(SgflError):
     """The two points do not lie on the interior of the same face."""
 

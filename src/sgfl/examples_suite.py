@@ -19,6 +19,7 @@ from .kunz import (
     numerical_context,
     point_of_semigroup,
     semigroup_of_point,
+    structure_constants,
 )
 from .lengths import length_summary
 from .minrepl import candidate_sets, min_repl
@@ -261,8 +262,12 @@ def _rows(budget):
         "kunz_thresholds_5-6-8",
         {"b((3,0),(0,2))": 0, "b((0,2),(3,0))": 1},
         lambda: {
-            "b((3,0),(0,2))": ctx5.b_of((3, 0), (0, 2), (1, 3)),
-            "b((0,2),(3,0))": ctx5.b_of((0, 2), (3, 0), (1, 3)),
+            "b((3,0),(0,2))": structure_constants(
+                ctx5, (3, 0), (0, 2), (1, 3)
+            )[1],
+            "b((0,2),(3,0))": structure_constants(
+                ctx5, (0, 2), (3, 0), (1, 3)
+            )[1],
         },
     )
     yield row(

@@ -10,15 +10,15 @@ INFINITY mirror the minimal replaceable vectors of the semigroup.  The
 shift-by-m length formulas are then decided by linear inequalities in the
 coordinates alone.
 
-The quotient data is kept behind a small context object (modulus,
-representatives, structure constants) so finite quotient data other than
-the canonical numerical one could be supplied; only the numerical context
-is constructed and exercised here.
+With canonical representatives r_a = a, every structure constant is a
+floor division of the residue sum rs(c) = sum c_a * a by m, so the context
+object carries the modulus alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 
 from .errors import (
     BadModulusError,
@@ -26,7 +26,6 @@ from .errors import (
     InequalityViolatedError,
     MNotAtomAtPointError,
     NoFactorizationError,
-    NonIntegralError,
     NotIntegerPointError,
     NotReducedError,
 )
@@ -39,57 +38,33 @@ INFINITY = None  # the absorbing element of the extended quotient semigroup
 
 @dataclass(frozen=True)
 class KunzContext:
-    """Cyclic quotient Z/mZ with canonical representatives r_a = a.
-
-    d_table[a][b] is the carry (r_a + r_b - r_{a+b}) / m, which is 0 or 1
-    for canonical representatives.
-    """
+    """Cyclic quotient Z/mZ with canonical representatives r_a = a."""
 
     m: int
-    d_table: tuple
-
-    def d(self, a, b):
-        return self.d_table[a % self.m][b % self.m]
-
-    def r(self, a):
-        return a % self.m
-
-    def d_of(self, counts, support):
-        """Carry d_{(c)} of a multiplicity vector over the given residues."""
-        m = self.m
-        total = sum(c * self.r(a) for c, a in zip(counts, support))
-        beta = sum(c * a for c, a in zip(counts, support)) % m
-        d, rem = divmod(total - self.r(beta), m)
-        if rem:
-            raise NonIntegralError(
-                f"carry of {counts} over {support} is not integral"
-            )
-        return d
-
-    def b_of(self, counts, counts2, support):
-        """The threshold b_{(c),(c')} comparing two multiplicity vectors."""
-        m = self.m
-        beta = sum(c * a for c, a in zip(counts, support)) % m
-        beta2 = sum(c * a for c, a in zip(counts2, support)) % m
-        total = self.r(beta2 - beta) + sum(
-            (c - c2) * self.r(a) for c, c2, a in zip(counts, counts2, support)
-        )
-        b, rem = divmod(total, m)
-        if rem:
-            raise NonIntegralError(
-                f"threshold of {counts} vs {counts2} over {support} "
-                "is not integral"
-            )
-        return b
 
 
 def numerical_context(m):
     if not isinstance(m, int) or m < 2:
         raise BadModulusError(f"modulus must be an integer >= 2, got {m!r}")
-    table = tuple(
-        tuple((a + b - (a + b) % m) // m for b in range(m)) for a in range(m)
+    return KunzContext(m=m)
+
+
+def _residue_sum(counts, support):
+    """rs(c) = sum c_a * r_a over the given residues."""
+    return sum(c * a for c, a in zip(counts, support))
+
+
+def _carry(m, counts, support):
+    """(d_(c), beta): the carry rs(c) // m and the residue rs(c) mod m."""
+    return divmod(_residue_sum(counts, support), m)
+
+
+def _threshold(m, counts, counts2, support):
+    """b_{(c),(c')} = (r_{beta'-beta} + rs(c) - rs(c')) / m
+    = -((rs(c') - rs(c)) // m)."""
+    return -(
+        (_residue_sum(counts2, support) - _residue_sum(counts, support)) // m
     )
-    return KunzContext(m=m, d_table=table)
 
 
 @dataclass(frozen=True)
@@ -107,10 +82,12 @@ class KunzPoint:
     """A validated integer point with its derived order data.
 
     All derived structure (tight pairs, the order relations, the extended
-    operation table, atoms, and the minimal factorizations of INFINITY) is
-    computed eagerly at construction into immutable caches; only the
-    length-extreme and pseudomin memos are filled lazily, with
-    deterministic values.
+    operation table, atoms, the minimal factorizations of INFINITY and the
+    factorization-length extremes of every residue) is computed eagerly at
+    construction into immutable caches; only the pseudomin memo is filled
+    lazily, with deterministic values.  length_extremes[beta] is the
+    (longest, shortest) pair of beta over the atoms, or None when beta has
+    no factorization.
     """
 
     context: KunzContext
@@ -121,9 +98,7 @@ class KunzPoint:
     atoms: tuple
     power_bounds: tuple
     min_inf: tuple
-    _length_cache: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
+    length_extremes: tuple
     _pseudomin_cache: dict = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
@@ -163,7 +138,7 @@ def kunz_point(ctx, coords):
     tight = set()
     for a in range(m):
         for b in range(a, m):
-            gap = x[a] + x[b] + ctx.d_table[a][b] - x[(a + b) % m]
+            gap = x[a] + x[b] + (a + b) // m - x[(a + b) % m]
             if gap < 0:
                 raise InequalityViolatedError((a, b))
             if gap == 0:
@@ -203,9 +178,7 @@ def kunz_point(ctx, coords):
         bounds.append(k)
     power_bounds = tuple(bounds)
 
-    min_inf = _minimal_infinity_factorizations(
-        ctx, oplus_table, atoms, power_bounds
-    )
+    min_inf, length_extremes = _atom_walk(m, oplus_table, atoms, power_bounds)
 
     return KunzPoint(
         context=ctx,
@@ -216,46 +189,58 @@ def kunz_point(ctx, coords):
         atoms=atoms,
         power_bounds=power_bounds,
         min_inf=min_inf,
+        length_extremes=length_extremes,
     )
 
 
-def _minimal_infinity_factorizations(ctx, oplus_table, atoms, power_bounds):
-    """Minimal multiplicity vectors over the atoms whose product is INFINITY.
+def _atom_walk(m, oplus_table, atoms, power_bounds):
+    """Minimal INFINITY factorizations and per-residue length extremes.
 
-    Depth-first over the atom coordinates with the running product carried
-    along: once the product reaches INFINITY it stays there, so the node is
-    recorded and the subtree (all dominated) is cut.  Coordinates are
-    bounded by the power bounds t_a (t_a copies of a alone reach INFINITY).
+    One depth-first walk over the atom coordinates with the running product
+    carried along.  Once the product reaches INFINITY it stays there, so the
+    vector is recorded as a hit and its subtree (all dominated) is cut; the
+    minimal hits are the minimal factorizations of INFINITY.  A complete
+    vector whose product is a residue is a factorization of that residue,
+    and its length updates the residue's (longest, shortest) pair.
+    Coordinates are bounded by the power bounds t_a (t_a copies of a alone
+    reach INFINITY).
     """
     n = len(atoms)
+    counts = [0] * n
     hits = []
+    longest = [-1] * m
+    shortest = [0] * m
 
-    def rec(i, prefix, prod):
+    def rec(i, length, prod):
         if prod is INFINITY:
-            hits.append(prefix + (0,) * (n - i))
+            hits.append(tuple(counts))
             return
         if i == n:
+            if longest[prod] < 0:
+                longest[prod] = shortest[prod] = length
+            elif length > longest[prod]:
+                longest[prod] = length
+            elif length < shortest[prod]:
+                shortest[prod] = length
             return
         a = atoms[i]
-        count = 0
-        acc = prod
-        while count <= power_bounds[i]:
-            rec(i + 1, prefix + (count,), acc)
-            if acc is INFINITY:
+        for count in range(power_bounds[i] + 1):
+            counts[i] = count
+            rec(i + 1, length + count, prod)
+            if prod is INFINITY:
                 break
-            acc = oplus_table[acc][a]
-            count += 1
+            prod = oplus_table[prod][a]
+        counts[i] = 0
 
-    rec(0, (), 0)
-    out = []
-    for counts in _minimal_elements(hits):
-        beta = sum(c * a for c, a in zip(counts, atoms)) % ctx.m
-        out.append(
-            InfFactorization(
-                c=counts, beta=beta, d_value=ctx.d_of(counts, atoms)
-            )
-        )
-    return tuple(out)
+    rec(0, 0, 0)
+    min_inf = []
+    for c in _minimal_elements(hits):
+        d_value, beta = _carry(m, c, atoms)
+        min_inf.append(InfFactorization(c=c, beta=beta, d_value=d_value))
+    extremes = tuple(
+        (hi, lo) if hi >= 0 else None for hi, lo in zip(longest, shortest)
+    )
+    return tuple(min_inf), extremes
 
 
 # -- the point <-> semigroup correspondence -------------------------------
@@ -263,13 +248,9 @@ def _minimal_infinity_factorizations(ctx, oplus_table, atoms, power_bounds):
 def point_of_semigroup(ctx, S):
     """The Kunz coordinates of a numerical semigroup containing m."""
     apery = S.apery_set(ctx.m)  # raises for non-numerical S or m outside S
-    x = []
-    for a, least in enumerate(apery):
-        q, rem = divmod(least - ctx.r(a), ctx.m)
-        if rem:  # pragma: no cover - impossible: least = a (mod m)
-            raise NonIntegralError(f"Apery element {least} not = {a} mod m")
-        x.append(q)
-    return kunz_point(ctx, x)
+    return kunz_point(
+        ctx, [(least - a) // ctx.m for a, least in enumerate(apery)]
+    )
 
 
 def semigroup_of_point(ctx, point):
@@ -305,83 +286,59 @@ def min_inf_factorizations(point):
 def pinfty_length_extremes(point, beta):
     """(longest, shortest) factorization lengths of beta over the atoms.
 
-    Depth-first over the atom coordinates carrying the running product;
-    subtrees are cut once the product reaches INFINITY (absorbing), and
-    factorizations of a non-INFINITY element never place t_a or more
-    copies on atom a.
+    Read from the extremes recorded by the atom walk at construction.
     """
-    if beta == 0:
-        return (0, 0)
-    cached = point._length_cache.get(beta)
-    if cached is not None:
-        return cached
-    table = point.oplus_table
-    atoms = point.atoms
-    bounds = point.power_bounds
-    n = len(atoms)
-    lengths = []
-
-    def rec(i, total, prod):
-        if prod is INFINITY:
-            return
-        if i == n:
-            if prod == beta:
-                lengths.append(total)
-            return
-        a = atoms[i]
-        acc = prod
-        count = 0
-        while count < bounds[i] and acc is not INFINITY:
-            rec(i + 1, total + count, acc)
-            acc = table[acc][a]
-            count += 1
-
-    rec(0, 0, 0)
-    if not lengths:
+    extremes = point.length_extremes[beta] if beta in range(point.m) else None
+    if extremes is None:
         raise NoFactorizationError(
-            f"residue {beta} has no factorization over the atoms {atoms}"
+            f"residue {beta} has no factorization over the atoms {point.atoms}"
         )
-    result = (max(lengths), min(lengths))
-    point._length_cache[beta] = result
-    return result
+    return extremes
 
 
 def structure_constants(ctx, counts, counts2, support):
     """(d_{(c)}, b_{(c),(c')}) for vectors over the given residue support."""
-    return ctx.d_of(counts, support), ctx.b_of(counts, counts2, support)
+    return (
+        _carry(ctx.m, counts, support)[0],
+        _threshold(ctx.m, counts, counts2, support),
+    )
+
+
+def _evaluation(point, counts):
+    """ev(c) = m * sum c_a x_a + rs(c): the element of the point's semigroup
+    that c multiplies out to over the atom images x_a * m + a."""
+    m = point.context.m
+    x = point.x
+    total = 0
+    for c, a in zip(counts, point.atoms):
+        total += c * (m * x[a] + a)
+    return total
+
+
+def _point_contains(x, m, n):
+    """n lies in the semigroup of the point: with (q, r) = divmod(n, m),
+    q >= x_r, since x_r * m + r is the least element of residue r."""
+    q, r = divmod(n, m)
+    return q >= x[r]
 
 
 def sq_leq(point, c, c2):
     """The evaluation-divisibility preorder on minimal INFINITY vectors.
 
-    c <= c' holds iff -x_{b'-b} + sum (c'_a - c_a) x_a >= b_{(c),(c')},
-    which equals divisibility of the corresponding evaluations in the
-    semigroup of the point.
+    c <= c' holds iff ev(c') - ev(c) = ev(c' - c) lies in the semigroup of
+    the point, which is the inequality
+    -x_{b'-b} + sum (c'_a - c_a) x_a >= b_{(c),(c')}.
     """
-    m = point.context.m
-    x = point.x
-    beta = 0
-    beta2 = 0
-    xdiff = 0
-    rdiff = 0
-    for ci, ci2, a in zip(c, c2, point.atoms):
-        beta += ci * a
-        beta2 += ci2 * a
-        xdiff += (ci2 - ci) * x[a]
-        rdiff += (ci - ci2) * a
-    diff = (beta2 - beta) % m
-    threshold, rem = divmod(diff + rdiff, m)
-    if rem:
-        raise NonIntegralError("preorder threshold is not integral")
-    return -x[diff] + xdiff >= threshold
+    return _point_contains(
+        point.x, point.context.m, _evaluation(point, map(sub, c2, c))
+    )
 
 
 def pseudomin(point):
     """Pseudominimal minimal INFINITY factorizations under the preorder.
 
     An element is pseudominimal when everything below it is also above it.
-    The pairwise preorder is evaluated once per point from precomputed
-    residue and coordinate sums (sum c_a r_a = d_(c) * m + r_beta).
+    Each evaluation is computed once per point.
     """
     cached = point._pseudomin_cache.get("pseudomin")
     if cached is not None:
@@ -390,15 +347,10 @@ def pseudomin(point):
     m = point.m
     x = point.x
     n = len(items)
-    xsum = [
-        sum(c * x[a] for c, a in zip(f.c, point.atoms)) for f in items
-    ]
-    rsum = [f.d_value * m + f.beta for f in items]
+    ev = [_evaluation(point, f.c) for f in items]
 
     def leq(i, j):
-        diff = (items[j].beta - items[i].beta) % m
-        b = (diff + rsum[i] - rsum[j]) // m
-        return -x[diff] + xsum[j] - xsum[i] >= b
+        return _point_contains(x, m, ev[j] - ev[i])
 
     out = []
     for i in range(n):
@@ -428,14 +380,12 @@ def is_reduced_point(point):
     """True iff the semigroup of the point has no nonzero units.
 
     Every nonzero residue is invertible in Z/mZ, so the criterion is
-    x_a + x_{-a} + d_{a,-a} > x_0 for every nonzero a.
+    x_a + x_{-a} + d_{a,-a} > x_0 for every nonzero a, where the carry
+    d_{a,-a} = (a + (m - a)) // m is 1.
     """
     m = point.m
     x = point.x
-    d = point.context.d_table
-    return all(
-        x[a] + x[(m - a) % m] + d[a][(m - a) % m] > x[0] for a in range(1, m)
-    )
+    return all(x[a] + x[m - a] + 1 > x[0] for a in range(1, m))
 
 
 def _m_atom_violation(point):

@@ -11,6 +11,9 @@ on different machinery than the library paths they check:
   against the affine frontier search;
 * enumerate_factorizations_box: raw product enumeration over grading
   bounds, against the pruned factorization search;
+* definitional_carry and definitional_threshold: the structure constants
+  d_(c) and b_{(c),(c')} from their defining sums, against
+  structure_constants and in the Kunz inequalities of the scan;
 * oracle_scan (library, DP lengths) against check_formula (B&B lengths).
 """
 
@@ -34,6 +37,7 @@ from sgfl.kunz import (
     point_of_semigroup,
     semigroup_of_point,
     sq_leq,
+    structure_constants,
 )
 from sgfl.minrepl import candidate_sets, min_repl
 from sgfl.semigroups import minimal_generating_subset, new_semigroup
@@ -260,10 +264,35 @@ def corpus_verdict_results(corpus):
 
 # -- the exhaustive Kunz scan -----------------------------------------------
 
+def definitional_carry(m, c):
+    """d_(c) = (sum c_a r_a - r_beta) / m over the residues r_a = a of Z/mZ,
+    with beta = sum c_a a (mod m)."""
+    total = sum(a * ca for a, ca in enumerate(c))
+    return (total - total % m) // m
+
+
+def definitional_threshold(m, c, c2):
+    """b_{(c),(c')} = (r_{beta'-beta} + sum (c_a - c'_a) r_a) / m, or None
+    when that quotient is not an integer."""
+    beta = sum(a * ca for a, ca in enumerate(c)) % m
+    beta2 = sum(a * ca for a, ca in enumerate(c2)) % m
+    b, rem = divmod(
+        (beta2 - beta) % m
+        + sum(a * (ca - ca2) for a, (ca, ca2) in enumerate(zip(c, c2))),
+        m,
+    )
+    return None if rem else b
+
+
 def enumerate_kunz_points(m, cap=KUNZ_COORD_CAP):
     """All integer points with x_0 = 0 and coordinates in [0, cap]."""
-    ctx = numerical_context(m)
-    d = ctx.d_table
+    d = [
+        [
+            definitional_carry(m, [(i == a) + (i == b) for i in range(m)])
+            for b in range(m)
+        ]
+        for a in range(m)
+    ]
     out = []
     x = [0] * m
 
@@ -337,17 +366,16 @@ def scan_one_point(args):
     for _ in range(3):
         c = [rng.randint(0, 3) for _ in range(m)]
         beta = sum(i * ci for i, ci in enumerate(c)) % m
-        lhs = ctx.d_of(c, range(m)) + sum(
+        lhs = definitional_carry(m, c) + sum(
             ci * xi for ci, xi in zip(c, point.x)
         )
         if lhs < point.x[beta]:
             record.iterated_inequality = False
         c2 = [rng.randint(0, 3) for _ in range(m)]
-        beta2 = sum(i * ci for i, ci in enumerate(c2)) % m
-        combined = [a + b for a, b in zip(c, c2)]
-        if ctx.d_of(c, range(m)) + ctx.d_of(c2, range(m)) + ctx.d(
-            beta, beta2
-        ) != ctx.d_of(combined, range(m)):
+        if structure_constants(ctx, c, c2, range(m)) != (
+            definitional_carry(m, c),
+            definitional_threshold(m, c, c2),
+        ):
             record.d_identity = False
 
     if not record.m_atom:

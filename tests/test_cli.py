@@ -263,6 +263,28 @@ def test_input_errors_exit_2(capsys):
     assert "NotMinimal" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("analyze", "--gens", "a,b"), None),
+        (("analyze", "--gens", ","), None),
+        (("kunz", "point", "--m", "5", "--x", "0,1,x"), None),
+        (("verdict", "--gens", "10,12,21,38", "--m", "q",
+          "--formula", "longest"), None),
+        (("analyze", "--gens", "3,5"), "abc"),
+    ],
+)
+def test_malformed_numbers_exit_2(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SGFL_BUDGET", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["schema"] == "sgfl/1"
+    assert error["error"] == "SgflError"
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verdict", "--gens", "6,9,20", "--m", "6"])  # no --formula

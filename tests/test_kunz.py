@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from sgfl.errors import (
     InequalityViolatedError,
     MNotAtomAtPointError,
     MNotInSError,
+    NoFactorizationError,
     NotIntegerPointError,
 )
 from sgfl.kunz import (
@@ -33,6 +35,8 @@ from sgfl.minrepl import min_repl
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import check_formula
 
+from conftest import definitional_carry, enumerate_kunz_points
+
 FAMILY = [(0, 1, 2, 1, 2), (0, 11, 22, 32, 43), (0, 3, 6, 2, 5), (0, 3, 6, 8, 11)]
 
 
@@ -47,9 +51,10 @@ def base_point(ctx5):
 
 
 def test_context_carries(ctx5):
-    assert ctx5.d(1, 4) == 1
-    assert ctx5.d(1, 2) == 0
-    assert numerical_context(2).d(1, 1) == 1
+    # The pair carry d_{a,b} is the carry of the vector with one a and one b.
+    assert structure_constants(ctx5, (1, 1), (0, 0), (1, 4))[0] == 1
+    assert structure_constants(ctx5, (1, 1), (0, 0), (1, 2))[0] == 0
+    assert structure_constants(numerical_context(2), (2,), (0,), (1,))[0] == 1
     with pytest.raises(BadModulusError):
         numerical_context(1)
 
@@ -189,6 +194,54 @@ def test_pinfty_length_extremes(base_point):
     assert pinfty_length_extremes(base_point, 4) == (2, 2)  # 4 = 1 + 3
 
 
+def test_pinfty_length_extremes_against_brute_force(ctx5):
+    """Every residue's (longest, shortest) pair against a plain product
+    enumeration over the atom vectors below the power bounds."""
+
+    def brute(p):
+        lengths = {}
+        ranges = [range(t) for t in p.power_bounds]
+        for c in itertools.product(*ranges):
+            acc = 0
+            for a, count in zip(p.atoms, c):
+                for _ in range(count):
+                    acc = oplus(p, acc, a)
+            if acc is not INFINITY:
+                lengths.setdefault(acc, []).append(sum(c))
+        return lengths
+
+    # Points where some residue has factorizations of different lengths.
+    spread = [
+        (0, 1, 2, 3, 1),
+        (0, 1, 1, 2, 1, 0),
+        (0, 1, 2, 3, 1, 1),
+        (0, 2, 4, 3, 2, 1, 0),
+        (0, 1, 2, 1, 0, 1, 2),
+    ]
+    rng = random.Random(20261018)
+    points = [kunz_point(ctx5, list(coords)) for coords in FAMILY]
+    points += [
+        kunz_point(numerical_context(len(coords)), coords) for coords in spread
+    ]
+    for m in (6, 7):
+        ctx = numerical_context(m)
+        points += [
+            kunz_point(ctx, coords)
+            for coords in rng.sample(enumerate_kunz_points(m, cap=4), 12)
+        ]
+    for p in points:
+        if p.x in spread:
+            assert any(len(set(ls)) > 1 for ls in brute(p).values())
+        lengths = brute(p)
+        for beta in range(p.m):
+            if beta in lengths:
+                expected = (max(lengths[beta]), min(lengths[beta]))
+                assert pinfty_length_extremes(p, beta) == expected, (p.x, beta)
+            else:
+                with pytest.raises(NoFactorizationError):
+                    pinfty_length_extremes(p, beta)
+
+
 def test_structure_constants(ctx5, base_point):
     atoms = base_point.atoms
     d, b = structure_constants(ctx5, (3, 0), (0, 2), atoms)
@@ -318,7 +371,7 @@ def test_iterated_inequality_unit(ctx5, base_point):
     # d_(c) + sum c_a x_a >= x_beta for a few handpicked vectors.
     for c in [(0, 1, 0, 2, 0), (3, 0, 0, 0, 1), (1, 1, 1, 1, 1)]:
         beta = sum(i * ci for i, ci in enumerate(c)) % 5
-        lhs = ctx5.d_of(c, range(5)) + sum(
+        lhs = definitional_carry(5, c) + sum(
             ci * xi for ci, xi in zip(c, base_point.x)
         )
         assert lhs >= base_point.x[beta]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sgfl.errors import MNotAtomError, ReportMismatchError
+from sgfl.errors import MNotAtomError, ReportMismatchError, SgflError
 from sgfl.lengths import length_summary, longest_length, shortest_length
 from sgfl.minrepl import (
     candidate_sets,
@@ -130,6 +130,15 @@ def test_report_mismatch(chicken):
     report = min_repl(chicken, 10)
     with pytest.raises(ReportMismatchError):
         candidate_sets(chicken, 38, report)
+
+
+def test_non_positive_budget_raises_sgfl_error():
+    S = new_semigroup([3, 5])
+    for budget in (0, -1):
+        with pytest.raises(SgflError, match="budget must be positive"):
+            min_repl(S, 3, budget=budget)
+        with pytest.raises(SgflError, match="budget must be positive"):
+            longest_length(S, 10, budget=budget)
 
 
 def test_left_right_zero_predicates():
