@@ -359,7 +359,7 @@ def _cmd_kunz(args, config):
     if args.kunz_command != "point":
         raise SgflError("the kunz subcommand is `kunz point`")
     ctx = numerical_context(args.m)
-    point = kunz_point(ctx, _ints(args.x))
+    point = kunz_point(ctx, _ints(args.x), budget=config.budget)
     S = semigroup_of_point(ctx, point)
     result = {
         "m": args.m,
@@ -374,12 +374,12 @@ def _cmd_kunz(args, config):
     }
     exit_code = 0
     if args.verdict:
-        v = main_verdict(point, args.verdict)
+        v = main_verdict(point, args.verdict, budget=config.budget)
         result["verdict"] = kunz_verdict_json(v)
         if args.assert_holds and not v.holds:
             exit_code = 1
     if args.cominimal:
-        other = kunz_point(ctx, _ints(args.cominimal))
+        other = kunz_point(ctx, _ints(args.cominimal), budget=config.budget)
         result["cominimal"] = cominimal(point, other)
     if config.output != "json":
         raise SgflError("kunz reports are not flat; use json output")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import sub
 
+from .budget import BudgetMeter
 from .errors import (
     BadModulusError,
     DifferentFaceError,
@@ -29,7 +30,6 @@ from .errors import (
     NotIntegerPointError,
     NotReducedError,
 )
-from .minrepl import _minimal_elements
 from .semigroups import minimal_generating_subset, new_semigroup
 from .verdicts import Formula, _as_formula
 
@@ -116,14 +116,15 @@ class KunzPoint:
         return (a, b) in self.relations
 
 
-def kunz_point(ctx, coords):
+def kunz_point(ctx, coords, budget=None):
     """Validate coordinates and build the point with its derived data.
 
     Raises NotIntegerPoint for malformed input and InequalityViolated with
     the offending residue pair otherwise.  The coordinate indexed by 0 is
     kept and must be 0: with canonical representatives, 0 is always the
     least semigroup element in residue class 0, so no numerical semigroup
-    corresponds to a point with x_0 > 0.
+    corresponds to a point with x_0 > 0.  The budget is charged one node
+    per residue pair of the order tables and then spent by the atom walk.
     """
     m = ctx.m
     x = tuple(coords)
@@ -135,6 +136,8 @@ def kunz_point(ctx, coords):
         raise InequalityViolatedError(
             (0, 0), "x_0 must be 0: residue 0 is represented by the element 0"
         )
+    meter = BudgetMeter(budget)
+    meter.spend(m * m)
     tight = set()
     for a in range(m):
         for b in range(a, m):
@@ -164,7 +167,7 @@ def kunz_point(ctx, coords):
             s = oplus_table[a][b]
             if s is not INFINITY and s != 0:
                 composite.add(s)
-    atoms = tuple(a for a in range(1, m) if a not in composite)
+    atoms = tuple([a for a in range(1, m) if a not in composite])
 
     # t_a = least k with the k-fold product of a equal to INFINITY; the
     # power chain is strictly increasing in a finite poset, so k <= m + 1.
@@ -178,7 +181,9 @@ def kunz_point(ctx, coords):
         bounds.append(k)
     power_bounds = tuple(bounds)
 
-    min_inf, length_extremes = _atom_walk(m, oplus_table, atoms, power_bounds)
+    min_inf, length_extremes = _atom_walk(
+        m, oplus_table, atoms, power_bounds, meter
+    )
 
     return KunzPoint(
         context=ctx,
@@ -193,53 +198,85 @@ def kunz_point(ctx, coords):
     )
 
 
-def _atom_walk(m, oplus_table, atoms, power_bounds):
+def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
     """Minimal INFINITY factorizations and per-residue length extremes.
 
-    One depth-first walk over the atom coordinates with the running product
-    carried along.  Once the product reaches INFINITY it stays there, so the
-    vector is recorded as a hit and its subtree (all dominated) is cut; the
-    minimal hits are the minimal factorizations of INFINITY.  A complete
-    vector whose product is a residue is a factorization of that residue,
-    and its length updates the residue's (longest, shortest) pair.
-    Coordinates are bounded by the power bounds t_a (t_a copies of a alone
-    reach INFINITY).
+    One depth-first walk over the atom coordinates, in lexicographic order,
+    with the prefix products kept on an explicit stack: prods[i] is the
+    product of the counts of atoms 0..i-1.  Once the product reaches
+    INFINITY it stays there, so the vector is a hit and its subtree (all
+    dominated) is cut.  A complete vector whose product is a residue is a
+    factorization of that residue, and its length updates the residue's
+    (longest, shortest) pair.  Coordinates are bounded by the power bounds
+    t_a (t_a copies of a alone reach INFINITY).
+
+    The INFINITY factorizations form an up-set, so a hit c is minimal iff
+    c - e_j is not one for every j with c_j > 0.  The last coordinate
+    raised never needs the test: the walk reached c from c - e_j.  Every
+    walk node costs one budget node, every recorded factorization one node
+    per coordinate.  Hits come in lexicographic order, so min_inf does too.
     """
     n = len(atoms)
     counts = [0] * n
-    hits = []
+    prods = [0] * (n + 1)
+    min_inf = []
     longest = [-1] * m
     shortest = [0] * m
 
-    def rec(i, length, prod):
-        if prod is INFINITY:
-            hits.append(tuple(counts))
-            return
-        if i == n:
-            if longest[prod] < 0:
-                longest[prod] = shortest[prod] = length
-            elif length > longest[prod]:
-                longest[prod] = length
-            elif length < shortest[prod]:
-                shortest[prod] = length
-            return
-        a = atoms[i]
-        for count in range(power_bounds[i] + 1):
-            counts[i] = count
-            rec(i + 1, length + count, prod)
-            if prod is INFINITY:
-                break
-            prod = oplus_table[prod][a]
-        counts[i] = 0
+    def product_without(j, last):
+        """The product of counts - e_j over coordinates 0..last."""
+        prod = prods[j]
+        for i in range(j, last + 1):
+            a = atoms[i]
+            for _ in range(counts[i] - (i == j)):
+                prod = oplus_table[prod][a]
+                if prod is INFINITY:
+                    return prod
+        return prod
 
-    rec(0, 0, 0)
-    min_inf = []
-    for c in _minimal_elements(hits):
-        d_value, beta = _carry(m, c, atoms)
-        min_inf.append(InfFactorization(c=c, beta=beta, d_value=d_value))
-    extremes = tuple(
+    depth = 0  # counts[depth:] are zero; prods[depth] is the current product
+    length = 0
+    while True:
+        meter.spend()
+        prod = prods[depth]
+        if prod is not INFINITY and depth < n:
+            prods[depth + 1] = prod
+            depth += 1
+            continue
+        if prod is INFINITY:
+            last = depth - 1
+            if all(
+                product_without(j, last) is not INFINITY
+                for j in range(last) if counts[j]
+            ):
+                meter.spend(n)
+                c = tuple(counts)
+                d_value, beta = _carry(m, c, atoms)
+                min_inf.append(InfFactorization(c=c, beta=beta, d_value=d_value))
+        elif longest[prod] < 0:
+            longest[prod] = shortest[prod] = length
+        elif length > longest[prod]:
+            longest[prod] = length
+        elif length < shortest[prod]:
+            shortest[prod] = length
+        # Advance to the next sibling of the deepest coordinate that can
+        # still grow: past a hit, or past t_a copies, the coordinate resets.
+        while depth:
+            i = depth - 1
+            if prod is not INFINITY and counts[i] < power_bounds[i]:
+                counts[i] += 1
+                length += 1
+                prods[depth] = oplus_table[prod][atoms[i]]
+                break
+            length -= counts[i]
+            counts[i] = 0
+            depth = i
+            prod = prods[depth]
+        else:
+            break
+    extremes = tuple([
         (hi, lo) if hi >= 0 else None for hi, lo in zip(longest, shortest)
-    )
+    ])
     return tuple(min_inf), extremes
 
 
@@ -388,50 +425,56 @@ def is_reduced_point(point):
     return all(x[a] + x[m - a] + 1 > x[0] for a in range(1, m))
 
 
-def _m_atom_violation(point):
+def _m_atom_violation(point, budget=None):
     """A residue-sum-zero vector witnessing that m factors, or None.
 
     Searches multiplicity vectors over nonzero residues with
     sum c_a * x_a + d_(c) = 1 + x_0 and residue sum 0.  Since every term
     is nonnegative and d_(c) = (sum c_a * r_a) / m when the residue sum is
     0, the weighted sum of representatives is bounded by m * (1 + x_0).
+    The walk is depth first in lexicographic order, with the prefix sums
+    on an explicit stack (index i holds the sums over residues 1..i), and
+    spends one budget node per vector visited.
     """
-    ctx = point.context
-    m = ctx.m
+    meter = BudgetMeter(budget)
+    m = point.m
     x = point.x
-    budget_r = m * (1 + x[0])
+    limit_r = m * (1 + x[0])
     target = 1 + x[0]
-
-    found = None
-
-    def rec(a, counts, rsum, xsum):
-        nonlocal found
-        if found is not None:
-            return
-        if a == m:
-            if rsum % m == 0 and xsum + rsum // m == target:
-                found = tuple(counts)
-            return
-        c = 0
-        while True:
-            nr = rsum + c * a
-            nx = xsum + c * x[a]
-            if nr > budget_r or nx > target:
+    n = m - 1  # residues 1..m-1; counts[i] is the count of residue i + 1
+    counts = [0] * n
+    rsums = [0] * (n + 1)
+    xsums = [0] * (n + 1)
+    depth = 0  # counts[depth:] are zero
+    while True:
+        meter.spend()
+        if depth < n:
+            rsums[depth + 1] = rsums[depth]
+            xsums[depth + 1] = xsums[depth]
+            depth += 1
+            continue
+        rsum = rsums[n]
+        if rsum % m == 0 and xsums[n] + rsum // m == target:
+            return tuple(counts)
+        # Advance to the next sibling of the deepest count that can grow.
+        while depth:
+            i = depth - 1
+            nr = rsums[depth] + i + 1
+            nx = xsums[depth] + x[i + 1]
+            if nr <= limit_r and nx <= target:
+                counts[i] += 1
+                rsums[depth] = nr
+                xsums[depth] = nx
                 break
-            counts.append(c)
-            rec(a + 1, counts, nr, nx)
-            counts.pop()
-            if found is not None:
-                return
-            c += 1
-
-    rec(1, [], 0, 0)
-    return found
+            counts[i] = 0
+            depth = i
+        else:
+            return None
 
 
-def is_m_atom_point(point):
+def is_m_atom_point(point, budget=None):
     """True iff m is an atom of the semigroup of the point."""
-    return _m_atom_violation(point) is None
+    return _m_atom_violation(point, budget) is None
 
 
 # -- the polytope-level verdict --------------------------------------------
@@ -464,7 +507,7 @@ class KunzVerdict:
     method: str = "kunz"
 
 
-def main_verdict(point, formula):
+def main_verdict(point, formula, budget=None):
     """Decide a shift-by-m length formula from the coordinates alone.
 
     Longest: for every minimal INFINITY-factorization c of length > 2,
@@ -477,11 +520,12 @@ def main_verdict(point, formula):
     pseudominimal vectors is not sound (failures need not descend along
     evaluation divisibility), so all minimal vectors are checked; points
     on one face interior therefore share the same inequality templates.
+    The budget bounds the search for a factorization of m.
     """
     formula = _as_formula(formula)
     if not is_reduced_point(point):
         raise NotReducedError("the point's semigroup has nonzero units")
-    witness = _m_atom_violation(point)
+    witness = _m_atom_violation(point, budget)
     if witness is not None:
         raise MNotAtomAtPointError(
             f"m factors over the coordinate elements with multiplicities "
@@ -511,7 +555,7 @@ def main_verdict(point, formula):
                 lhs_value=lhs,
             )
         )
-    counterexamples = tuple(c for c in checks if not c.ok)
+    counterexamples = tuple([c for c in checks if not c.ok])
     return KunzVerdict(
         formula=formula,
         m=point.m,

@@ -2,8 +2,11 @@
 
 A factorization of v is a vector of atom multiplicities (in presentation
 order) summing to v.  `factorizations` materializes the whole set;
-`longest_length` / `shortest_length` find one extreme by branch and bound
-without materializing anything, which is what the verdict pipeline uses.
+`longest_length` / `shortest_length` find one extreme, with a witness, by
+branch and bound without materializing anything.  `length_table` gives
+L (or l) of every value 0..N of a dimension-1 semigroup at once, by the
+dynamic recurrence of Barron, O'Neill and Pelayo; the verdicts read their
+dimension-1 lengths from it and solve affine elements by branch and bound.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import BudgetMeter
-from .errors import MNotAtomError, NotInSemigroupError
+from .errors import MNotAtomError, NotInSemigroupError, NotNumericalError
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,28 @@ def longest_length(S, v, budget=None):
 def shortest_length(S, v, budget=None):
     """(l(v), witness) for v in S, else None."""
     return _extremal(S, v, maximize=False, budget=budget)
+
+
+def length_table(S, upto, maximize, budget=None):
+    """L(v) (or l(v) unless maximize) for v = 0..upto; None outside S.
+
+    Dimension 1 only.  Every factorization of v > 0 ends in some atom g,
+    so L(v) = max_g L(v - g) + 1 and l(v) = min_g l(v - g) + 1 over the
+    atoms g <= v with v - g in S.  One budget node per entry, charged
+    before the table is allocated.
+    """
+    if S.dim != 1:
+        raise NotNumericalError("length tables are dimension-1 only")
+    BudgetMeter(budget).spend(upto + 1)
+    gens = S.atoms
+    pick = max if maximize else min
+    missing = -1 if maximize else upto + 1  # worse than any length in range
+    pad = max(gens)  # leading non-members, so v - g never leaves the list
+    table = [missing] * pad + [0]
+    for i in range(pad + 1, pad + upto + 1):
+        best = pick([table[i - g] for g in gens])
+        table.append(missing if best == missing else best + 1)
+    return [None if x == missing else x for x in table[pad:]]
 
 
 def length_summary(S, v, m=None, budget=None):

@@ -229,7 +229,9 @@ class SemigroupPresentation:
     @property
     def atoms(self):
         """The generators, as elements (ints when dim == 1)."""
-        return tuple(_as_element(g, self.dim) for g in self.generators)
+        # From a list: tuple(genexpr) grows by resizing, and each resized
+        # tuple lands on a CPython free list it was not taken from.
+        return tuple([_as_element(g, self.dim) for g in self.generators])
 
     @property
     def is_numerical(self):

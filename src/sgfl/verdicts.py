@@ -4,7 +4,8 @@ Three routes produce a Verdict for "L(s+m) = L(s) + 1 for all s" (and the
 shortest-length analogue):
 
 * check_formula: the finite candidate-set criterion built on min_repl,
-  evaluating lengths by branch-and-bound factorization search;
+  reading dimension-1 lengths from one length table up to the largest
+  check target and solving affine ones by branch-and-bound search;
 * embdim3_check: the single-element fast path for numerical semigroups
   with exactly three generators;
 * oracle_scan: an exhaustive scan whose lengths come from an independent
@@ -22,9 +23,10 @@ from .errors import (
     MissingBoundError,
     MNotAtomError,
     NotEmbDim3Error,
+    NotInSemigroupError,
     NotNumericalError,
 )
-from .lengths import longest_length, shortest_length
+from .lengths import length_table, longest_length, shortest_length
 from .minrepl import _element_sort_key, is_left_zero, is_right_zero, min_repl
 
 
@@ -77,8 +79,38 @@ def candidate_atoms(S, formula):
     return list(S.atoms)
 
 
-def _length_fn(formula):
-    return longest_length if _as_formula(formula) is Formula.LONGEST else shortest_length
+def _length_reader(S, formula, upto, budget):
+    """A function e -> L(e) (or l(e)) for elements e of S.
+
+    Dimension 1 reads one length table over 0..upto.  Affine elements are
+    solved one at a time by branch and bound, memoized because targets
+    share shifted elements.  An element outside S (or, in dimension 1,
+    outside 0..upto) raises NotInSemigroupError.
+    """
+    maximize = formula is Formula.LONGEST
+    if S.dim == 1:
+        table = length_table(S, upto, maximize, budget=budget)
+
+        def read(e):
+            got = table[e] if 0 <= e <= upto else None
+            if got is None:
+                raise NotInSemigroupError(f"{e} is not in {S!r} up to {upto}")
+            return got
+
+        return read
+    fn = longest_length if maximize else shortest_length
+    memo = {}
+
+    def read(e):
+        got = memo.get(e)
+        if got is None:
+            found = fn(S, e, budget=budget)
+            if found is None:
+                raise NotInSemigroupError(f"{e} is not in {S!r}")
+            got = memo[e] = found[0]
+        return got
+
+    return read
 
 
 def _check_targets(S, m, formula, report):
@@ -118,32 +150,24 @@ def check_formula(S, m, formula, budget=None, report=None):
 
     A report from min_repl can be passed in to share the solver work
     between the two formulas; only its minimal vectors are consulted.
-    Lengths are evaluated per element with a small memo, since targets
-    share shifted elements.
+    In dimension 1 every target and its shift s - m are read from one
+    length table up to the largest target.
     """
     formula = _as_formula(formula)
     if report is None:
         report = min_repl(S, m, budget=budget)
-    targets = _check_targets(S, m, formula, report)
-    fn = _length_fn(formula)
+    targets = sorted(_check_targets(S, m, formula, report), key=_element_sort_key)
     m_elt = S.element(m)
-    memo = {}
-
-    def length_of(e):
-        got = memo.get(e)
-        if got is None:
-            got = fn(S, e, budget=budget)[0]
-            memo[e] = got
-        return got
-
+    upto = targets[-1] if targets and S.dim == 1 else 0
+    length_of = _length_reader(S, formula, upto, budget)
     checked = []
-    for s in sorted(targets, key=_element_sort_key):
+    for s in targets:
         if S.dim == 1:
             prev = s - m_elt
         else:
             prev = tuple(a - b for a, b in zip(s, m_elt))
         checked.append(Check(s, length_of(s), length_of(prev) + 1))
-    counterexamples = tuple(c for c in checked if not c.ok)
+    counterexamples = tuple([c for c in checked if not c.ok])
     return Verdict(
         formula=formula,
         m=m_elt,
@@ -173,10 +197,8 @@ def embdim3_check(S, formula, budget=None):
     while not S.contains(c * n2 - m):
         c += 1
     element = c * n2
-    fn = _length_fn(formula)
-    value = fn(S, element, budget=budget)[0]
-    shifted = fn(S, element - m, budget=budget)[0] + 1
-    check = Check(element, value, shifted)
+    length_of = _length_reader(S, formula, element, budget)
+    check = Check(element, length_of(element), length_of(element - m) + 1)
     return Verdict(
         formula=formula,
         m=m,

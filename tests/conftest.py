@@ -14,7 +14,10 @@ on different machinery than the library paths they check:
 * definitional_carry and definitional_threshold: the structure constants
   d_(c) and b_{(c),(c')} from their defining sums, against
   structure_constants and in the Kunz inequalities of the scan;
-* oracle_scan (library, DP lengths) against check_formula (B&B lengths).
+* oracle_scan (library, DP lengths) against check_formula, which reads
+  dimension-1 lengths from lengths.length_table; the table in turn is
+  checked value by value against the branch-and-bound search in
+  test_lengths.py::test_length_table_matches_branch_and_bound.
 """
 
 from __future__ import annotations

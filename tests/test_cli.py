@@ -254,6 +254,26 @@ def test_budget_env_override(capsys, monkeypatch):
     assert json.loads(out)["config"]["budget"] == 12345
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("verdict", "--gens", "10,12,21,38", "--m", "10",
+          "--formula", "longest"), "20"),
+        (("kunz", "point", "--m", "1100",
+          "--x", ",".join(["0"] + ["1"] * 1099)), None),
+    ],
+)
+def test_budget_exhaustion_exits_2(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SGFL_BUDGET", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["schema"] == "sgfl/1"
+    assert error["error"] == "BudgetExceededError"
+
+
 def test_input_errors_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "verdict", "--gens", "6,9,18", "--m", "6",

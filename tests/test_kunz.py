@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from sgfl.errors import (
     BadModulusError,
+    BudgetExceededError,
     DifferentFaceError,
     InequalityViolatedError,
     MNotAtomAtPointError,
@@ -31,7 +33,7 @@ from sgfl.kunz import (
     sq_leq,
     structure_constants,
 )
-from sgfl.minrepl import min_repl
+from sgfl.minrepl import _minimal_elements, min_repl
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import check_formula
 
@@ -185,6 +187,68 @@ def test_min_inf_vectors_are_minimal(ctx5, base_point):
                 if f.c[i]:
                     lower = f.c[:i] + (f.c[i] - 1,) + f.c[i + 1 :]
                     assert product(p, lower) is not INFINITY
+
+
+def test_min_inf_matches_pairwise_minimal_filter():
+    """The walk's local minimality test against the pairwise antichain
+    filter, on every INFINITY hit of an independent product enumeration."""
+
+    def hits(p):
+        out = []
+        counts = [0] * len(p.atoms)
+
+        def rec(i, acc):
+            if acc is INFINITY:
+                out.append(tuple(counts))
+                return
+            if i == len(p.atoms):
+                return
+            for count in range(p.power_bounds[i] + 1):
+                counts[i] = count
+                rec(i + 1, acc)
+                if acc is INFINITY:
+                    break
+                acc = oplus(p, acc, p.atoms[i])
+            counts[i] = 0
+
+        rec(0, 0)
+        return out
+
+    rng = random.Random(20261018)
+    checked = 0
+    for m in range(2, 11):
+        ctx = numerical_context(m)
+        cap = 3 if m <= 8 else 2
+        points = enumerate_kunz_points(m, cap=cap)
+        for coords in rng.sample(points, min(len(points), 15)):
+            p = kunz_point(ctx, coords)
+            expected = _minimal_elements(hits(p))
+            assert tuple(f.c for f in p.min_inf) == expected, coords
+            checked += len(expected)
+    assert checked > 500
+
+
+def test_large_points_build_within_budget():
+    m = 100
+    started = time.perf_counter()
+    p = kunz_point(numerical_context(m), [0] + [1] * (m - 1))
+    assert time.perf_counter() - started < 1.0
+    # Every product of two atoms is INFINITY: min_inf is all a + b.
+    assert len(p.min_inf) == (m - 1) * m // 2
+    with pytest.raises(BudgetExceededError):
+        kunz_point(numerical_context(m), [0] + [1] * (m - 1), budget=10_000)
+
+
+def test_atom_searches_are_not_recursive():
+    # <m, m+1> at m = 1100: the m-atom search walks 1099 residues deep,
+    # past the interpreter's default recursion limit.
+    m = 1100
+    p = point_of_semigroup(numerical_context(m), new_semigroup([m, m + 1]))
+    assert p.atoms == (1,)
+    assert [f.c for f in p.min_inf] == [(m,)]
+    assert is_m_atom_point(p)
+    with pytest.raises(BudgetExceededError):
+        is_m_atom_point(p, budget=m)
 
 
 def test_pinfty_length_extremes(base_point):

@@ -1,7 +1,14 @@
 import pytest
 
-from sgfl.errors import MissingBoundError, MNotAtomError, NotEmbDim3Error
+from sgfl.errors import (
+    BudgetExceededError,
+    MissingBoundError,
+    MNotAtomError,
+    NotEmbDim3Error,
+    NotInSemigroupError,
+)
 from sgfl.lengths import length_summary
+from sgfl.minrepl import MinReplReport, min_repl
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import (
     Formula,
@@ -60,6 +67,36 @@ def test_check_formula_plane(plane):
 def test_check_formula_requires_atom(chicken):
     with pytest.raises(MNotAtomError):
         check_formula(chicken, 11, "longest")
+
+
+def test_check_formula_budget_covers_the_length_table(chicken):
+    # One node per table entry 0..largest target: 48 (longest), 84
+    # (shortest).  The report is solved beforehand, so only the table spends.
+    for m, formula, largest in ((10, "longest", 48), (38, "shortest", 84)):
+        report = min_repl(chicken, m)
+        verdict = check_formula(chicken, m, formula, budget=largest + 1,
+                                report=report)
+        assert max(c.element for c in verdict.checked) == largest
+        with pytest.raises(BudgetExceededError):
+            check_formula(chicken, m, formula, budget=largest, report=report)
+        with pytest.raises(BudgetExceededError):
+            check_formula(chicken, m, formula, budget=3)
+    S = new_semigroup([6, 9, 20])  # longest: checked at 18, so 19 entries
+    assert embdim3_check(S, "longest", budget=19).holds
+    with pytest.raises(BudgetExceededError):
+        embdim3_check(S, "longest", budget=18)
+
+
+def test_check_formula_rejects_shift_below_zero(chicken):
+    # A target below m would read s - m at a negative index of the table.
+    report = MinReplReport(
+        m=38,
+        atom_index=(10, 12, 21),
+        minimal_vectors=((0, 1, 0),),
+        evaluations={(0, 1, 0): 12},
+    )
+    with pytest.raises(NotInSemigroupError):
+        check_formula(chicken, 38, "shortest", report=report)
 
 
 def test_embdim3():
