@@ -238,7 +238,7 @@ def _rows(budget):
     yield row(
         "kunz_point_of_5-6-8",
         (0, 1, 2, 1, 2),
-        lambda: point_of_semigroup(ctx5, S568).x,
+        lambda: point_of_semigroup(ctx5, S568, budget=budget).x,
     )
     yield row(
         "kunz_nontrivial_relations_5-6-8",
@@ -246,7 +246,7 @@ def _rows(budget):
         lambda: tuple(
             sorted(
                 (a, b)
-                for (a, b) in point_of_semigroup(ctx5, S568).relations
+                for (a, b) in point_of_semigroup(ctx5, S568, budget=budget).relations
                 if a != b
             )
         ),
@@ -255,7 +255,7 @@ def _rows(budget):
         "kunz_min_inf_5-6-8",
         ((0, 2), (2, 1), (3, 0)),
         lambda: tuple(
-            f.c for f in point_of_semigroup(ctx5, S568).min_inf
+            f.c for f in point_of_semigroup(ctx5, S568, budget=budget).min_inf
         ),
     )
     yield row(
@@ -279,7 +279,10 @@ def _rows(budget):
             (0, 3, 6, 8, 11): False,
         },
         lambda: {
-            coords: main_verdict(kunz_point(ctx5, list(coords)), "longest").holds
+            coords: main_verdict(
+                kunz_point(ctx5, list(coords), budget=budget), "longest",
+                budget=budget,
+            ).holds
             for coords in [
                 (0, 1, 2, 1, 2),
                 (0, 11, 22, 32, 43),
@@ -297,7 +300,7 @@ def _rows(budget):
             (0, 3, 6, 8, 11): (5, 16, 43),
         },
         lambda: {
-            coords: semigroup_of_point(ctx5, kunz_point(ctx5, list(coords))).atoms
+            coords: semigroup_of_point(ctx5, list(coords), budget=budget).atoms
             for coords in [
                 (0, 1, 2, 1, 2),
                 (0, 11, 22, 32, 43),
@@ -311,7 +314,8 @@ def _rows(budget):
         {comp: True for comp in [(0, 11, 22, 32, 43), (0, 3, 6, 2, 5), (0, 3, 6, 8, 11)]},
         lambda: {
             comp: cominimal(
-                kunz_point(ctx5, [0, 1, 2, 1, 2]), kunz_point(ctx5, list(comp))
+                kunz_point(ctx5, [0, 1, 2, 1, 2], budget=budget),
+                kunz_point(ctx5, list(comp), budget=budget),
             )
             for comp in [(0, 11, 22, 32, 43), (0, 3, 6, 2, 5), (0, 3, 6, 8, 11)]
         },

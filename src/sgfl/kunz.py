@@ -167,6 +167,7 @@ def kunz_point(ctx, coords, budget=None):
             s = oplus_table[a][b]
             if s is not INFINITY and s != 0:
                 composite.add(s)
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
     atoms = tuple([a for a in range(1, m) if a not in composite])
 
     # t_a = least k with the k-fold product of a equal to INFINITY; the
@@ -213,8 +214,9 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
     The INFINITY factorizations form an up-set, so a hit c is minimal iff
     c - e_j is not one for every j with c_j > 0.  The last coordinate
     raised never needs the test: the walk reached c from c - e_j.  Every
-    walk node costs one budget node, every recorded factorization one node
-    per coordinate.  Hits come in lexicographic order, so min_inf does too.
+    walk node costs one budget node, every product in the minimality test
+    one node per oplus step and every recorded factorization one node per
+    coordinate.  Hits come in lexicographic order, so min_inf does too.
     """
     n = len(atoms)
     counts = [0] * n
@@ -224,7 +226,11 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
     shortest = [0] * m
 
     def product_without(j, last):
-        """The product of counts - e_j over coordinates 0..last."""
+        """The product of counts - e_j over coordinates 0..last.
+
+        Charges one budget node per oplus step it may take.
+        """
+        meter.spend(sum(counts[j:last + 1]))
         prod = prods[j]
         for i in range(j, last + 1):
             a = atoms[i]
@@ -274,6 +280,7 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
             prod = prods[depth]
         else:
             break
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
     extremes = tuple([
         (hi, lo) if hi >= 0 else None for hi, lo in zip(longest, shortest)
     ])
@@ -282,18 +289,22 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
 
 # -- the point <-> semigroup correspondence -------------------------------
 
-def point_of_semigroup(ctx, S):
+def point_of_semigroup(ctx, S, budget=None):
     """The Kunz coordinates of a numerical semigroup containing m."""
     apery = S.apery_set(ctx.m)  # raises for non-numerical S or m outside S
     return kunz_point(
-        ctx, [(least - a) // ctx.m for a, least in enumerate(apery)]
+        ctx, [(least - a) // ctx.m for a, least in enumerate(apery)],
+        budget=budget,
     )
 
 
-def semigroup_of_point(ctx, point):
-    """The numerical semigroup generated by m and the coordinate elements."""
+def semigroup_of_point(ctx, point, budget=None):
+    """The numerical semigroup generated by m and the coordinate elements.
+
+    The budget is spent by kunz_point when point is raw coordinates.
+    """
     if not isinstance(point, KunzPoint):
-        point = kunz_point(ctx, point)
+        point = kunz_point(ctx, point, budget=budget)
     raw = [ctx.m] + [
         point.x[a] * ctx.m + a for a in range(1, ctx.m)
     ]
@@ -301,10 +312,10 @@ def semigroup_of_point(ctx, point):
     return new_semigroup(sorted(kept))
 
 
-def poset_of_point(ctx, point):
+def poset_of_point(ctx, point, budget=None):
     """All order relations a <= b (reflexive closure included)."""
     if not isinstance(point, KunzPoint):
-        point = kunz_point(ctx, point)
+        point = kunz_point(ctx, point, budget=budget)
     return point.relations
 
 
@@ -555,6 +566,7 @@ def main_verdict(point, formula, budget=None):
                 lhs_value=lhs,
             )
         )
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
     counterexamples = tuple([c for c in checks if not c.ok])
     return KunzVerdict(
         formula=formula,

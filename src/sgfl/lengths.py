@@ -156,19 +156,21 @@ def length_table(S, upto, maximize, budget=None):
 
     Dimension 1 only.  Every factorization of v > 0 ends in some atom g,
     so L(v) = max_g L(v - g) + 1 and l(v) = min_g l(v - g) + 1 over the
-    atoms g <= v with v - g in S.  One budget node per entry, charged
-    before the table is allocated.
+    atoms g <= v with v - g in S.  Atoms above upto never occur, so the
+    table holds at most 2 * upto + 1 entries whatever the largest atom.
+    One budget node per entry of 0..upto, charged before the table is
+    allocated.
     """
     if S.dim != 1:
         raise NotNumericalError("length tables are dimension-1 only")
     BudgetMeter(budget).spend(upto + 1)
-    gens = S.atoms
+    gens = [g for g in S.atoms if g <= upto]
     pick = max if maximize else min
     missing = -1 if maximize else upto + 1  # worse than any length in range
-    pad = max(gens)  # leading non-members, so v - g never leaves the list
+    pad = max(gens, default=0)  # leading non-members: v - g stays in the list
     table = [missing] * pad + [0]
     for i in range(pad + 1, pad + upto + 1):
-        best = pick([table[i - g] for g in gens])
+        best = pick([table[i - g] for g in gens], default=missing)
         table.append(missing if best == missing else best + 1)
     return [None if x == missing else x for x in table[pad:]]
 

@@ -89,6 +89,7 @@ def _atom_data(S, m):
     mi = S.generator_index(m)
     if mi is None:
         raise MNotAtomError(f"{m} is not a generator of {S!r}")
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
     c_atoms = tuple([g for i, g in enumerate(S.generators) if i != mi])
     return mi, c_atoms
 
@@ -298,6 +299,7 @@ def min_repl(S, m, budget=None):
     }
     return MinReplReport(
         m=S.element(m),
+        # From a list: tuple(genexpr) resizes, which fills the free lists.
         atom_index=tuple([_as_element(a, dim) for a in c_atoms]),
         minimal_vectors=minimal,
         evaluations=evaluations,
@@ -326,6 +328,7 @@ def candidate_sets(S, m, report):
     """
     mi, c_atoms = _atom_data(S, m)
     m = S.element(m)
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
     expected_index = tuple([_as_element(a, S.dim) for a in c_atoms])
     if report.m != m or report.atom_index != expected_index:
         raise ReportMismatchError(
@@ -339,21 +342,21 @@ def candidate_sets(S, m, report):
         if not any(w != v and S.divides(w, v) for w in values)
     ]
     m2 = tuple(minimal_values)
-    m1 = tuple([
+    m1 = tuple(
         v for v in minimal_values if any(sum(c) > 2 for c in by_value[v])
-    ])
+    )
     n1 = n2 = None
     if S.is_numerical:
         if m == S.atoms[0]:
-            n1 = tuple([
+            n1 = tuple(
                 v
                 for v in m1
                 if any(not is_left_zero(c) for c in by_value[v])
-            ])
+            )
         if m == S.atoms[-1]:
-            n2 = tuple([
+            n2 = tuple(
                 v
                 for v in m2
                 if any(not is_right_zero(c) for c in by_value[v])
-            ])
+            )
     return replace(report, m1=m1, m2=m2, n1=n1, n2=n2)

@@ -230,7 +230,8 @@ class SemigroupPresentation:
     def atoms(self):
         """The generators, as elements (ints when dim == 1)."""
         # From a list: tuple(genexpr) grows by resizing, and each resized
-        # tuple lands on a CPython free list it was not taken from.
+        # tuple lands on a CPython free list it was not taken from, so the
+        # free lists fill (up to 2000 tuples per size) and RSS drifts up.
         return tuple([_as_element(g, self.dim) for g in self.generators])
 
     @property

@@ -167,6 +167,7 @@ def check_formula(S, m, formula, budget=None, report=None):
         else:
             prev = tuple(a - b for a, b in zip(s, m_elt))
         checked.append(Check(s, length_of(s), length_of(prev) + 1))
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
     counterexamples = tuple([c for c in checked if not c.ok])
     return Verdict(
         formula=formula,

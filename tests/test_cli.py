@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -272,6 +275,28 @@ def test_budget_exhaustion_exits_2(capsys, monkeypatch, argv, env):
     error = json.loads(err)
     assert error["schema"] == "sgfl/1"
     assert error["error"] == "BudgetExceededError"
+
+
+def test_verdict_with_a_huge_atom_answers_at_once():
+    # The embdim3 check reads targets 12 and 8, so the length table must
+    # not be sized by the atom 10**9 + 1.  The child's address space is
+    # capped at 1 GiB: a table padded by the atom fails there with a
+    # MemoryError instead of taking the machine's memory.
+    src = os.path.dirname(os.path.dirname(SCHEMA_PATH))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sgfl.cli import main; sys.exit(main(sys.argv[1:]))",
+         "verdict", "--gens", "4,6,1000000001", "--m", "4",
+         "--formula", "longest", "--method", "embdim3"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["holds"] is True
 
 
 def test_input_errors_exit_2(capsys):

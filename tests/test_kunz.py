@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from sgfl.budget import DEFAULT_BUDGET
 from sgfl.errors import (
     BadModulusError,
     BudgetExceededError,
@@ -237,6 +238,30 @@ def test_large_points_build_within_budget():
     assert len(p.min_inf) == (m - 1) * m // 2
     with pytest.raises(BudgetExceededError):
         kunz_point(numerical_context(m), [0] + [1] * (m - 1), budget=10_000)
+
+
+def test_point_builders_pass_their_budget_through():
+    # kunz_point charges m * m nodes for its order tables before it builds
+    # them, so under the default budget it refuses every point with
+    # m * m > DEFAULT_BUDGET at once; a caller raises the cap with budget=.
+    for m, budget, ok in ((3163, None, False), (40, 40 * 40, False),
+                          (40, None, True)):
+        assert (m * m > DEFAULT_BUDGET) == (m == 3163)
+        ctx = numerical_context(m)
+        coords = list(range(m))  # the point of <m, m + 1>
+        builders = (
+            lambda: kunz_point(ctx, coords, budget=budget),
+            lambda: point_of_semigroup(ctx, new_semigroup([m, m + 1]),
+                                       budget=budget),
+            lambda: semigroup_of_point(ctx, coords, budget=budget),
+            lambda: poset_of_point(ctx, coords, budget=budget),
+        )
+        for build in builders:
+            if ok:
+                build()
+            else:
+                with pytest.raises(BudgetExceededError):
+                    build()
 
 
 def test_atom_searches_are_not_recursive():

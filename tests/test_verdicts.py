@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from sgfl.errors import (
@@ -7,7 +9,7 @@ from sgfl.errors import (
     NotEmbDim3Error,
     NotInSemigroupError,
 )
-from sgfl.lengths import length_summary
+from sgfl.lengths import length_summary, length_table
 from sgfl.minrepl import MinReplReport, min_repl
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import (
@@ -85,6 +87,23 @@ def test_check_formula_budget_covers_the_length_table(chicken):
     assert embdim3_check(S, "longest", budget=19).holds
     with pytest.raises(BudgetExceededError):
         embdim3_check(S, "longest", budget=18)
+
+
+def test_length_table_is_sized_by_the_targets():
+    # Targets 12 and 8 (embdim3) and no targets at all (check_formula,
+    # longest, m = 4): an atom far above them must not size the table.
+    S = new_semigroup([4, 6, 10**6 + 1])
+    assert len(length_table(S, 12, True)) == 13
+    tracemalloc.start()
+    try:
+        verdict = embdim3_check(S, "longest")
+        empty = check_formula(S, 4, "longest")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.element for c in verdict.checked] == [12]
+    assert empty.checked == ()
+    assert peak < 100_000  # a table padded by the atom takes 8 MB
 
 
 def test_check_formula_rejects_shift_below_zero(chicken):
