@@ -228,7 +228,8 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
     def product_without(j, last):
         """The product of counts - e_j over coordinates 0..last.
 
-        Charges one budget node per oplus step it may take.
+        Charges the sum of the counts it multiplies, which bounds its oplus
+        steps, to the budget.
         """
         meter.spend(sum(counts[j:last + 1]))
         prod = prods[j]
