@@ -387,25 +387,23 @@ def pseudomin(point):
     """Pseudominimal minimal INFINITY factorizations under the preorder.
 
     An element is pseudominimal when everything below it is also above it.
-    Each evaluation is computed once per point.
+    The preorder compares evaluations only, so the test runs over the
+    distinct evaluations, of which there are often far fewer than vectors.
     """
     cached = point._pseudomin_cache.get("pseudomin")
     if cached is not None:
         return cached
-    items = point.min_inf
-    m = point.m
-    x = point.x
-    n = len(items)
-    ev = [_evaluation(point, f.c) for f in items]
+    ev = [_evaluation(point, f.c) for f in point.min_inf]
+    values = set(ev)
 
-    def leq(i, j):
-        return _point_contains(x, m, ev[j] - ev[i])
+    def leq(e, f):
+        return _point_contains(point.x, point.m, f - e)
 
-    out = []
-    for i in range(n):
-        if all(leq(i, j) for j in range(n) if j != i and leq(j, i)):
-            out.append(items[i])
-    result = tuple(out)
+    kept = {
+        e for e in values
+        if all(leq(e, f) for f in values if f != e and leq(f, e))
+    }
+    result = tuple(f for f, e in zip(point.min_inf, ev) if e in kept)
     point._pseudomin_cache["pseudomin"] = result
     return result
 

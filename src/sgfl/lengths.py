@@ -1,12 +1,13 @@
 """Factorization sets and extremal factorization lengths.
 
 A factorization of v is a vector of atom multiplicities (in presentation
-order) summing to v.  `factorizations` materializes the whole set;
-`longest_length` / `shortest_length` find one extreme, with a witness, by
-branch and bound without materializing anything.  `length_table` gives
-L (or l) of every value 0..N of a dimension-1 semigroup at once, by the
-dynamic recurrence of Barron, O'Neill and Pelayo; the verdicts read their
-dimension-1 lengths from it and solve affine elements by branch and bound.
+order) summing to v.  One depth-first walk lists them all for
+`factorizations`, or, as a branch and bound, finds one extreme with a
+witness for `longest_length` / `shortest_length` without listing the set.
+`length_table` gives L (or l) of every value 0..N of a dimension-1
+semigroup at once, by the dynamic recurrence of Barron, O'Neill and
+Pelayo; the verdicts read their dimension-1 lengths from it and solve
+affine elements by branch and bound.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 from .budget import BudgetMeter
 from .errors import MNotAtomError, NotInSemigroupError, NotNumericalError
+from .semigroups import _dot
 
 
 @dataclass(frozen=True)
@@ -39,78 +41,34 @@ class LengthSummary:
     has_m_in_shortest: bool | None = None
 
 
-def factorizations(S, v, budget=None):
-    """All atom-multiplicity vectors summing to v, sorted lexicographically.
+def _walk(S, v, maximize, budget):
+    """Factorizations of v, in lexicographic order, by one depth-first walk.
 
-    Empty iff v is outside the semigroup.  Atoms are processed in
-    presentation order with a residual-grading prune; the final atom is
-    resolved by exact division, so each visited node is cheap.
+    Atoms are taken in presentation order with a residual-grading prune,
+    the last one resolved by exact division, and child counts ascending.
+    With maximize None every factorization is recorded.  Otherwise the
+    walk is a branch and bound for the longest (True) or shortest (False)
+    length: it cuts a partial assignment whose best completion (residual
+    grading over the cheapest / dearest remaining atom grading) cannot beat
+    the incumbent, and records only improvements, so the last record is the
+    lex-smallest factorization of extremal length.
     """
     vec = S.vector(v)
     meter = BudgetMeter(budget)
     gens = S.generators
-    grading = S.grading
     k = len(gens)
-    dim = S.dim
-    zero = (0,) * dim
-    wg = [sum(w * c for w, c in zip(grading, g)) for g in gens]
-    out = []
-
-    def rec(i, res, wres, prefix):
-        meter.spend()
-        if i == k - 1:
-            g = gens[i]
-            q, r = divmod(wres, wg[i])
-            if r == 0 and all(rc == q * gc for rc, gc in zip(res, g)):
-                out.append(prefix + (q,))
-            return
-        g = gens[i]
-        child = res
-        for count in range(wres // wg[i] + 1):
-            rec(i + 1, child, wres - count * wg[i], prefix + (count,))
-            child = tuple(rc - gc for rc, gc in zip(child, g))
-
-    wv = sum(w * c for w, c in zip(grading, vec))
-    if wv < 0 or (wv == 0 and vec != zero):
-        return ()
-    if k == 0:
-        return ((),) if vec == zero else ()
-    rec(0, vec, wv, ())
-    return tuple(sorted(out))
-
-
-def _extremal(S, v, maximize, budget=None):
-    """Best factorization length and its lex-smallest witness, or None.
-
-    Branch and bound: a partial assignment is cut when even the best
-    completion over the remaining atoms (residual grading divided by the
-    cheapest / dearest remaining atom grading) cannot beat the incumbent.
-    Candidate counts are enumerated ascending, so the first factorization
-    achieving the final optimum is the lexicographically smallest one.
-    """
-    vec = S.vector(v)
-    meter = BudgetMeter(budget)
-    gens = S.generators
-    grading = S.grading
-    k = len(gens)
-    dim = S.dim
-    zero = (0,) * dim
-    wg = [sum(w * c for w, c in zip(grading, g)) for g in gens]
-    wv = sum(w * c for w, c in zip(grading, vec))
-    if wv < 0 or (wv == 0 and vec != zero) or k == 0:
-        return ((0, ()) if vec == zero and k == 0 else None)
+    wg = [_dot(S.grading, g) for g in gens]
+    wv = _dot(S.grading, vec)
+    if wv < 0 or (wv == 0 and any(vec)):
+        return []
     # Extremal grading value among atoms i..k-1, for the completion bound.
-    suffix = [0] * k
-    acc = wg[k - 1]
-    for i in range(k - 1, -1, -1):
-        acc = (min if maximize else max)(acc, wg[i])
-        suffix[i] = acc
-    best = None
-    best_witness = None
+    suffix = [(min if maximize else max)(wg[i:]) for i in range(k)]
+    found = []
+    best = None  # length of the incumbent; stays None when recording all
     prefix = []
 
     def rec(i, res, wres, count):
-        nonlocal best, best_witness
+        nonlocal best
         meter.spend()
         if best is not None:
             if maximize:
@@ -123,8 +81,9 @@ def _extremal(S, v, maximize, budget=None):
             if r == 0 and all(rc == q * gc for rc, gc in zip(res, gens[i])):
                 total = count + q
                 if best is None or (total > best if maximize else total < best):
-                    best = total
-                    best_witness = tuple(prefix) + (q,)
+                    found.append(tuple(prefix) + (q,))
+                    if maximize is not None:
+                        best = total
             return
         child = res
         g = gens[i]
@@ -136,9 +95,21 @@ def _extremal(S, v, maximize, budget=None):
             child = tuple(rc - gc for rc, gc in zip(child, g))
 
     rec(0, vec, wv, 0)
-    if best is None:
+    return found
+
+
+def factorizations(S, v, budget=None):
+    """All atom-multiplicity vectors summing to v, lex-sorted; empty iff
+    v is outside the semigroup."""
+    return tuple(_walk(S, v, None, budget))
+
+
+def _extremal(S, v, maximize, budget=None):
+    """Best factorization length and its lex-smallest witness, or None."""
+    found = _walk(S, v, maximize, budget)
+    if not found:
         return None
-    return best, best_witness
+    return sum(found[-1]), found[-1]
 
 
 def longest_length(S, v, budget=None):

@@ -25,6 +25,7 @@ from .errors import (
     NotEmbDim3Error,
     NotInSemigroupError,
     NotNumericalError,
+    SgflError,
 )
 from .lengths import length_table, longest_length, shortest_length
 from .minrepl import _element_sort_key, is_left_zero, is_right_zero, min_repl
@@ -267,9 +268,10 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
     """Check the formula for every s in S up to a bound, by brute force.
 
     Numerical: the default bound covers every possible exception, so the
-    verdict is exact.  Affine: the scan covers grading values up to the
-    bound (which must be given explicitly unless allow_default permits the
-    default of 120) and the verdict is evidence only (exact=False).
+    verdict is exact iff the bound reaches it.  Affine: the scan covers
+    grading values up to the bound (which must be given explicitly unless
+    allow_default permits the default of 120) and the verdict is evidence
+    only (exact=False).  A negative bound is an error.
     Lengths come from a dynamic program, independent of the factorization
     search used elsewhere.  Unless all_counterexamples is set, the scan
     stops at the first failure.
@@ -278,11 +280,14 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
     if S.generator_index(m) is None:
         raise MNotAtomError(f"{m} is not a generator of {S!r}")
     m_elt = S.element(m)
+    if bound is not None and bound < 0:
+        raise SgflError(f"scan bound must be nonnegative, got {bound}")
 
     if S.is_numerical:
+        exact_bound = default_scan_bound(S, formula)
         if bound is None:
-            bound = default_scan_bound(S, formula)
-        exact = True
+            bound = exact_bound
+        exact = bound >= exact_bound
         table = _length_tables_numerical(S, bound + m_elt, formula)
         checked = []
         counterexamples = []

@@ -317,6 +317,8 @@ def test_input_errors_exit_2(capsys):
         (("verdict", "--gens", "10,12,21,38", "--m", "q",
           "--formula", "longest"), None),
         (("analyze", "--gens", "3,5"), "abc"),
+        (("oracle", "--gens", "10,12,21,38", "--m", "38",
+          "--formula", "shortest", "--bound", "-5"), None),
     ],
 )
 def test_malformed_numbers_exit_2(capsys, monkeypatch, argv, env):

@@ -34,11 +34,11 @@ from sgfl.kunz import (
     sq_leq,
     structure_constants,
 )
-from sgfl.minrepl import _minimal_elements, min_repl
+from sgfl.minrepl import min_repl
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import check_formula
 
-from conftest import definitional_carry, enumerate_kunz_points
+from conftest import definitional_carry, enumerate_kunz_points, minimal_of
 
 FAMILY = [(0, 1, 2, 1, 2), (0, 11, 22, 32, 43), (0, 3, 6, 2, 5), (0, 3, 6, 8, 11)]
 
@@ -223,7 +223,7 @@ def test_min_inf_matches_pairwise_minimal_filter():
         points = enumerate_kunz_points(m, cap=cap)
         for coords in rng.sample(points, min(len(points), 15)):
             p = kunz_point(ctx, coords)
-            expected = _minimal_elements(hits(p))
+            expected = tuple(minimal_of(hits(p)))
             assert tuple(f.c for f in p.min_inf) == expected, coords
             checked += len(expected)
     assert checked > 500
@@ -364,6 +364,53 @@ def test_pseudomin(ctx5, base_point):
     assert [f.c for f in pseudomin(p2)] == [(2,)]
     other = kunz_point(ctx5, [0, 3, 6, 2, 5])
     assert {f.c for f in pseudomin(other)} == {(0, 2), (2, 1), (3, 0)}
+
+
+def test_pseudomin_matches_pairwise_divisibility():
+    """pseudomin against its definition, read pairwise on the vectors
+    through divisibility in the point's own semigroup."""
+    rng = random.Random(7)
+    checked = 0
+    for m in range(3, 9):
+        ctx = numerical_context(m)
+        points = enumerate_kunz_points(m, cap=3)
+        for coords in rng.sample(points, min(len(points), 12)):
+            p = kunz_point(ctx, coords)
+            S = semigroup_of_point(ctx, p)
+            ev = {
+                f.c: sum(ci * (p.x[a] * m + a) for ci, a in zip(f.c, p.atoms))
+                for f in p.min_inf
+            }
+
+            def leq(f, g):
+                return S.divides(ev[f.c], ev[g.c])
+
+            expected = [
+                f.c
+                for f in p.min_inf
+                if all(leq(f, g) for g in p.min_inf if g is not f and leq(g, f))
+            ]
+            assert [f.c for f in pseudomin(p)] == expected, coords
+            checked += len(expected)
+    assert checked > 200
+
+
+def test_pseudomin_on_many_vectors_is_fast():
+    m = 100
+    p = kunz_point(numerical_context(m), [0] + [1] * (m - 1))
+    assert len(p.min_inf) == 4950
+    started = time.perf_counter()
+    result = pseudomin(p)
+    assert time.perf_counter() - started < 1.0
+    # The semigroup is {0} and every n >= m, and the evaluations lie in
+    # [2m + 2, 4m - 2], so the pseudominimal ones are those below 3m + 2.
+    values = {
+        f.c: sum(ci * (m + a) for ci, a in zip(f.c, p.atoms))
+        for f in p.min_inf
+    }
+    expected = [f.c for f in p.min_inf if values[f.c] < 3 * m + 2]
+    assert [f.c for f in result] == expected
+    assert len(expected) == 2549
 
 
 def test_cominimal(ctx5, base_point):

@@ -3,8 +3,18 @@ import random
 
 import pytest
 
-from sgfl.errors import MNotAtomError, ReportMismatchError, SgflError
-from sgfl.lengths import length_summary, longest_length, shortest_length
+from sgfl.errors import (
+    BudgetExceededError,
+    MNotAtomError,
+    ReportMismatchError,
+    SgflError,
+)
+from sgfl.lengths import (
+    factorizations,
+    length_summary,
+    longest_length,
+    shortest_length,
+)
 from sgfl.minrepl import (
     candidate_sets,
     evaluate,
@@ -139,6 +149,53 @@ def test_non_positive_budget_raises_sgfl_error():
             min_repl(S, 3, budget=budget)
         with pytest.raises(SgflError, match="budget must be positive"):
             longest_length(S, 10, budget=budget)
+
+
+# Exact search nodes, in budget units, of min_repl at every atom and of
+# the factorization walks at a few elements.  A change to the searches
+# that keeps their results but adds or drops work shows up here.
+SEARCH_NODES = {
+    "chicken": [
+        (min_repl, 10, 25),
+        (min_repl, 12, 30),
+        (min_repl, 21, 64),
+        (min_repl, 38, 87),
+        (factorizations, 84, 128),
+        (longest_length, 84, 36),
+        (shortest_length, 84, 38),
+        (factorizations, 131, 333),
+        (longest_length, 131, 177),
+        (shortest_length, 131, 105),
+        (factorizations, 200, 930),
+        (longest_length, 200, 213),
+        (shortest_length, 200, 109),
+    ],
+    "plane_wide": [
+        (min_repl, (3, 0), 885),
+        (min_repl, (7, 0), 727),
+        (min_repl, (11, 0), 577),
+        (min_repl, (6, 1), 17136),
+        (min_repl, (0, 3), 9374),
+        (factorizations, (21, 0), 88),
+        (longest_length, (21, 0), 87),
+        (shortest_length, (21, 0), 32),
+        (factorizations, (18, 3), 88),
+        (longest_length, (18, 3), 81),
+        (shortest_length, (18, 3), 19),
+        (factorizations, (30, 6), 290),
+        (longest_length, (30, 6), 276),
+        (shortest_length, (30, 6), 206),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_NODES))
+def test_search_node_counts_are_pinned(request, name):
+    S = request.getfixturevalue(name)
+    for search, arg, nodes in SEARCH_NODES[name]:
+        search(S, arg, budget=nodes)
+        with pytest.raises(BudgetExceededError):
+            search(S, arg, budget=nodes - 1)
 
 
 def test_left_right_zero_predicates():

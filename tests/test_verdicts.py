@@ -8,6 +8,7 @@ from sgfl.errors import (
     MNotAtomError,
     NotEmbDim3Error,
     NotInSemigroupError,
+    SgflError,
 )
 from sgfl.lengths import length_summary, length_table
 from sgfl.minrepl import MinReplReport, min_repl
@@ -168,7 +169,12 @@ def test_oracle_scan_all_flag(chicken):
 def test_oracle_scan_bound_zero(chicken):
     verdict = oracle_scan(chicken, 10, "longest", bound=0)
     assert verdict.holds
+    assert not verdict.exact
     assert [c.element for c in verdict.checked] == [10]
+    assert oracle_scan(chicken, 10, "longest").exact
+    with pytest.raises(SgflError) as info:
+        oracle_scan(chicken, 10, "longest", bound=-5)
+    assert type(info.value) is SgflError
 
 
 def test_oracle_scan_affine_needs_bound(plane):
