@@ -338,6 +338,7 @@ def _cmd_verdict(args, config):
             bound=args.bound,
             allow_default=args.allow_default,
             all_counterexamples=args.all,
+            budget=config.budget,
         )
     else:
         verdict = check_formula(S, m, args.formula, budget=config.budget)

@@ -214,12 +214,12 @@ def _rows(budget):
             "longest": {
                 "minrepl": check_formula(S69, 6, "longest", budget=budget).holds,
                 "embdim3": embdim3_check(S69, "longest", budget=budget).holds,
-                "oracle": oracle_scan(S69, 6, "longest").holds,
+                "oracle": oracle_scan(S69, 6, "longest", budget=budget).holds,
             },
             "shortest": {
                 "minrepl": check_formula(S69, 20, "shortest", budget=budget).holds,
                 "embdim3": embdim3_check(S69, "shortest", budget=budget).holds,
-                "oracle": oracle_scan(S69, 20, "shortest").holds,
+                "oracle": oracle_scan(S69, 20, "shortest", budget=budget).holds,
             },
         },
     )

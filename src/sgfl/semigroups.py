@@ -19,6 +19,7 @@ from .errors import (
     NotMinimalError,
     NotNumericalError,
     NotPointedError,
+    SgflError,
 )
 
 GRADING_SEARCH_BOX = 50
@@ -330,7 +331,7 @@ def minimal_generating_subset(vectors, dim):
         if vec != zero and vec not in seen:
             seen.append(vec)
     if not seen:
-        raise ValueError("no nonzero generators supplied")
+        raise NotPointedError("no nonzero generators supplied")
     grading = _find_grading(seen, dim)
     kept = []
     for i, v in enumerate(seen):
@@ -355,7 +356,7 @@ def new_semigroup(generators, dim=None):
     """
     generators = list(generators)
     if not generators:
-        raise ValueError("generator list must be nonempty")
+        raise SgflError("generator list must be nonempty")
     if dim is None:
         first = generators[0]
         dim = 1 if isinstance(first, int) else len(tuple(first))

@@ -10,8 +10,10 @@ shortest-length analogue):
   with exactly three generators;
 * oracle_scan: an exhaustive scan whose lengths come from an independent
   dynamic program.  For numerical semigroups the scan range makes the
-  verdict exact; for affine semigroups it is desk-scale evidence only and
-  the Verdict is flagged exact=False.
+  verdict exact, and lengths are computed only up to the last value
+  checked; for affine semigroups it is desk-scale evidence only and the
+  Verdict is flagged exact=False.  The budget is charged one node per
+  value of the numerical range, or per element of the affine table.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .budget import BudgetMeter
 from .errors import (
     MissingBoundError,
     MNotAtomError,
@@ -211,26 +214,14 @@ def embdim3_check(S, formula, budget=None):
     )
 
 
-def _length_tables_numerical(S, upto, formula):
-    """DP table of L (or l) over 0..upto; None marks non-members."""
-    gens = [g[0] for g in S.generators]
-    best = [None] * (upto + 1)
-    best[0] = 0
-    maximize = formula is Formula.LONGEST
-    for v in range(1, upto + 1):
-        cur = None
-        for g in gens:
-            if v >= g and best[v - g] is not None:
-                cand = best[v - g] + 1
-                if cur is None or (cand > cur if maximize else cand < cur):
-                    cur = cand
-        best[v] = cur
-    return best
+def _length_tables_affine(S, wbound, formula, budget):
+    """DP over all semigroup elements of grading value at most wbound.
 
-
-def _length_tables_affine(S, wbound, formula):
-    """DP over all semigroup elements of grading value at most wbound."""
+    One budget node per element the table adds, the zero element included.
+    """
     maximize = formula is Formula.LONGEST
+    meter = BudgetMeter(budget)
+    meter.spend()
     best = {(0,) * S.dim: 0}
     layers = {0: [(0,) * S.dim]}
     wg = [S.grading_value(g) for g in S.generators]
@@ -245,6 +236,7 @@ def _length_tables_affine(S, wbound, formula):
                 cand = lv + 1
                 old = best.get(nv)
                 if old is None:
+                    meter.spend()
                     best[nv] = cand
                     layers.setdefault(nw, []).append(nv)
                 elif cand > old if maximize else cand < old:
@@ -264,7 +256,7 @@ def default_scan_bound(S, formula):
 
 
 def oracle_scan(S, m, formula, bound=None, allow_default=False,
-                all_counterexamples=False):
+                all_counterexamples=False, budget=None):
     """Check the formula for every s in S up to a bound, by brute force.
 
     Numerical: the default bound covers every possible exception, so the
@@ -274,7 +266,11 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
     only (exact=False).  A negative bound is an error.
     Lengths come from a dynamic program, independent of the factorization
     search used elsewhere.  Unless all_counterexamples is set, the scan
-    stops at the first failure.
+    stops at the first failure.  The numerical scan fills its lengths in
+    the same loop that checks them, so it computes L (or l) only up to
+    the last value it checks; it charges the budget one node per value
+    0..bound+m before it starts.  The affine scan charges one node per
+    element its table adds.
     """
     formula = _as_formula(formula)
     if S.generator_index(m) is None:
@@ -288,13 +284,24 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         if bound is None:
             bound = exact_bound
         exact = bound >= exact_bound
-        table = _length_tables_numerical(S, bound + m_elt, formula)
+        BudgetMeter(budget).spend(bound + m_elt + 1)
+        gens = [g[0] for g in S.generators]
+        maximize = formula is Formula.LONGEST
+        best = [0]  # L (or l) of 0..v; None marks non-members
         checked = []
         counterexamples = []
-        for s in range(bound + 1):
-            if table[s] is None:
+        for v in range(1, bound + m_elt + 1):
+            cur = None
+            for g in gens:
+                if v >= g and best[v - g] is not None:
+                    cand = best[v - g] + 1
+                    if cur is None or (cand > cur if maximize else cand < cur):
+                        cur = cand
+            best.append(cur)
+            prev = best[v - m_elt] if v >= m_elt else None
+            if prev is None:
                 continue
-            check = Check(s + m_elt, table[s + m_elt], table[s] + 1)
+            check = Check(v, cur, prev + 1)
             checked.append(check)
             if not check.ok:
                 counterexamples.append(check)
@@ -309,7 +316,7 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
             bound = 120
         exact = False
         wm = S.grading_value(m_elt)
-        table = _length_tables_affine(S, bound + wm, formula)
+        table = _length_tables_affine(S, bound + wm, formula, budget)
         checked = []
         counterexamples = []
         for s in sorted(table, key=_element_sort_key):

@@ -14,9 +14,12 @@ on different machinery than the library paths they check:
 * definitional_carry and definitional_threshold: the structure constants
   d_(c) and b_{(c),(c')} from their defining sums, against
   structure_constants and in the Kunz inequalities of the scan;
-* oracle_scan (library, DP lengths) against check_formula, which reads
-  dimension-1 lengths from lengths.length_table; the table in turn is
-  checked value by value against the branch-and-bound search in
+* length_dp: a full L / l table by generator-outer passes, against the
+  numerical oracle_scan, which computes its lengths inside the scan loop
+  and stops at the first counterexample;
+* oracle_scan against check_formula, which reads dimension-1 lengths
+  from lengths.length_table; the table in turn is checked value by value
+  against the branch-and-bound search in
   test_lengths.py::test_length_table_matches_branch_and_bound.
 """
 
@@ -62,6 +65,24 @@ def membership_table(gens, upto):
     table[0] = True
     for v in range(1, upto + 1):
         table[v] = any(v >= g and table[v - g] for g in gens)
+    return table
+
+
+def length_dp(gens, upto, maximize):
+    """L(v) (or l(v)) for v = 0..upto over the atoms gens; None off S.
+
+    One pass per generator, values ascending inside it (the unbounded
+    coin-change order): after the pass over g the table holds the extreme
+    length over factorizations using only the generators seen so far.
+    """
+    better = max if maximize else min
+    table = [None] * (upto + 1)
+    table[0] = 0
+    for g in gens:
+        for v in range(g, upto + 1):
+            if table[v - g] is not None:
+                cand = table[v - g] + 1
+                table[v] = cand if table[v] is None else better(table[v], cand)
     return table
 
 

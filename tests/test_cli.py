@@ -264,6 +264,9 @@ def test_budget_env_override(capsys, monkeypatch):
           "--formula", "longest"), "20"),
         (("kunz", "point", "--m", "1100",
           "--x", ",".join(["0"] + ["1"] * 1099)), None),
+        # 10,989,002 oracle values 0..bound+m, over the default budget.
+        (("oracle", "--gens", "1000,1001,10999", "--m", "1000",
+          "--formula", "longest"), None),
     ],
 )
 def test_budget_exhaustion_exits_2(capsys, monkeypatch, argv, env):

@@ -9,6 +9,7 @@ from sgfl.errors import (
     NotMinimalError,
     NotNumericalError,
     NotPointedError,
+    SgflError,
 )
 from sgfl import semigroups
 from sgfl.kunz import kunz_point, numerical_context, semigroup_of_point
@@ -191,8 +192,16 @@ def test_minimality_reverified_post_hoc(chicken, plane):
 def test_minimal_generating_subset():
     kept = minimal_generating_subset([(5,), (6, ), (12,), (8,), (14,)], 1)
     assert sorted(v[0] for v in kept) == [5, 6, 8]
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPointedError):
         minimal_generating_subset([(0, 0)], 2)
+
+
+def test_empty_or_zero_generator_lists_raise_library_errors():
+    # A caller that catches SgflError must see these too.
+    with pytest.raises(SgflError):
+        new_semigroup([])
+    with pytest.raises(SgflError):
+        minimal_generating_subset([(0,)], 1)
 
 
 def test_gcd_recorded():

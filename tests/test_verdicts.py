@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -21,6 +22,8 @@ from sgfl.verdicts import (
     embdim3_check,
     oracle_scan,
 )
+
+from conftest import affine_span, length_dp
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +178,66 @@ def test_oracle_scan_bound_zero(chicken):
     with pytest.raises(SgflError) as info:
         oracle_scan(chicken, 10, "longest", bound=-5)
     assert type(info.value) is SgflError
+
+
+def test_oracle_scan_budget_covers_its_range(chicken, plane):
+    # Numerical: one node per value 0..bound+m, charged up front, so a
+    # scan that stops at its first counterexample (48) still needs all.
+    entries = default_scan_bound(chicken, "longest") + 10 + 1
+    assert oracle_scan(chicken, 10, "longest", budget=entries).counterexamples
+    with pytest.raises(BudgetExceededError):
+        oracle_scan(chicken, 10, "longest", budget=entries - 1)
+    with pytest.raises(BudgetExceededError):
+        oracle_scan(chicken, 10, "longest", budget=5)
+    # Affine: one node per element of grading value at most bound + w(m).
+    m, bound = (3, 1), 30
+    wbound = bound + plane.grading_value(m)
+    elements = len(affine_span(plane.generators, plane.grading, wbound))
+    full = oracle_scan(plane, m, "longest", bound=bound)
+    assert oracle_scan(plane, m, "longest", bound=bound, budget=elements) == full
+    with pytest.raises(BudgetExceededError):
+        oracle_scan(plane, m, "longest", bound=bound, budget=elements - 1)
+
+
+def _expected_scan(S, m, formula, bound, all_counterexamples):
+    """(checked, counterexamples) of a numerical scan, from a full table."""
+    table = length_dp(S.atoms, bound + m, formula == "longest")
+    checked = []
+    for s in range(bound + 1):
+        if table[s] is None:
+            continue
+        checked.append((s + m, table[s + m], table[s] + 1))
+        if checked[-1][1] != checked[-1][2] and not all_counterexamples:
+            break
+    return tuple(checked), tuple(c for c in checked if c[1] != c[2])
+
+
+def _triples(checks):
+    return tuple((c.element, c.value, c.shifted) for c in checks)
+
+
+def test_oracle_scan_matches_a_full_length_table(corpus):
+    # The scan fills its lengths as it checks and stops at the first
+    # failure; a full table from an independent DP gives the same checks
+    # at every atom, bound and stopping rule.
+    failed = 0
+    for S, formula in itertools.product(corpus, ("longest", "shortest")):
+        default = default_scan_bound(S, formula)
+        for m, bound, everything in itertools.product(
+            (S.atoms[0], S.atoms[-1]), (None, 0, default // 2), (False, True)
+        ):
+            verdict = oracle_scan(S, m, formula, bound=bound,
+                                  all_counterexamples=everything)
+            scanned = default if bound is None else bound
+            checked, cexs = _expected_scan(S, m, formula, scanned, everything)
+            assert _triples(verdict.checked) == checked, (S.atoms, m, formula)
+            assert _triples(verdict.counterexamples) == cexs
+            assert verdict.holds == (not cexs)
+            assert (verdict.m, verdict.bound, verdict.exact, verdict.method) == (
+                m, scanned, scanned >= default, "oracle"
+            )
+            failed += not verdict.holds
+    assert failed > 0  # early exits are exercised
 
 
 def test_oracle_scan_affine_needs_bound(plane):
