@@ -27,7 +27,6 @@ from .errors import (
     NotMinimalError,
     NotNumericalError,
     NotPointedError,
-    NotReducedError,
     ReportMismatchError,
     SgflError,
 )

@@ -172,10 +172,10 @@ def minrepl_json(report):
         "atom_index": _jsonable(report.atom_index),
         "min_repl": [_jsonable(v) for v in vectors],
         "evaluations": [_jsonable(report.evaluations[v]) for v in vectors],
-        "M1": _jsonable(report.m1) if report.m1 is not None else None,
-        "M2": _jsonable(report.m2) if report.m2 is not None else None,
-        "N1": _jsonable(report.n1) if report.n1 is not None else None,
-        "N2": _jsonable(report.n2) if report.n2 is not None else None,
+        "M1": _jsonable(report.m1),
+        "M2": _jsonable(report.m2),
+        "N1": _jsonable(report.n1),
+        "N2": _jsonable(report.n2),
     }
 
 
@@ -351,14 +351,7 @@ def _cmd_verdict(args, config):
     return _emit(_envelope("verdict", config, row)), exit_code
 
 
-def _cmd_oracle(args, config):
-    args.method = "oracle"
-    return _cmd_verdict(args, config)
-
-
 def _cmd_kunz(args, config):
-    if args.kunz_command != "point":
-        raise SgflError("the kunz subcommand is `kunz point`")
     ctx = numerical_context(args.m)
     point = kunz_point(ctx, _ints(args.x), budget=config.budget)
     S = semigroup_of_point(ctx, point)
@@ -375,7 +368,7 @@ def _cmd_kunz(args, config):
     }
     exit_code = 0
     if args.verdict:
-        v = main_verdict(point, args.verdict, budget=config.budget)
+        v = main_verdict(point, args.verdict)
         result["verdict"] = kunz_verdict_json(v)
         if args.assert_holds and not v.holds:
             exit_code = 1
@@ -418,12 +411,11 @@ def _cmd_paper_examples(args, config):
 
 
 def _add_run_options(parser, suppress=False):
-    default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--budget", type=int,
-                        default=default if suppress else None,
+                        default=argparse.SUPPRESS if suppress else None,
                         help="node budget for searches (env SGFL_BUDGET)")
     parser.add_argument("--output", choices=("json", "tsv", "pretty"),
-                        default=default if suppress else "json")
+                        default=argparse.SUPPRESS if suppress else "json")
 
 
 @functools.cache
@@ -485,7 +477,7 @@ def build_parser():
     p.add_argument("--all", action="store_true")
     p.add_argument("--allow-default", action="store_true")
     p.add_argument("--assert-holds", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_verdict, method="oracle")
 
     p = sub.add_parser("kunz", parents=[common], help="polytope-point reports")
     kunz_sub = p.add_subparsers(dest="kunz_command", required=True)

@@ -87,9 +87,5 @@ class DifferentFaceError(SgflError):
     """The two points do not lie on the interior of the same face."""
 
 
-class NotReducedError(SgflError):
-    """The point corresponds to a semigroup with nontrivial units."""
-
-
 class MNotAtomAtPointError(SgflError):
     """The modulus is not an atom of the semigroup at this point."""

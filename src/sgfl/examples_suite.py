@@ -280,8 +280,7 @@ def _rows(budget):
         },
         lambda: {
             coords: main_verdict(
-                kunz_point(ctx5, list(coords), budget=budget), "longest",
-                budget=budget,
+                kunz_point(ctx5, list(coords), budget=budget), "longest"
             ).holds
             for coords in [
                 (0, 1, 2, 1, 2),

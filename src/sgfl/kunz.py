@@ -17,7 +17,7 @@ object carries the modulus alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import sub
 
 from .budget import BudgetMeter
@@ -28,7 +28,6 @@ from .errors import (
     MNotAtomAtPointError,
     NoFactorizationError,
     NotIntegerPointError,
-    NotReducedError,
 )
 from .semigroups import minimal_generating_subset, new_semigroup
 from .verdicts import Formula, _as_formula
@@ -84,10 +83,9 @@ class KunzPoint:
     All derived structure (tight pairs, the order relations, the extended
     operation table, atoms, the minimal factorizations of INFINITY and the
     factorization-length extremes of every residue) is computed eagerly at
-    construction into immutable caches; only the pseudomin memo is filled
-    lazily, with deterministic values.  length_extremes[beta] is the
-    (longest, shortest) pair of beta over the atoms, or None when beta has
-    no factorization.
+    construction; nothing is filled in later.  length_extremes[beta] is
+    the (longest, shortest) pair of beta over the atoms, or None when beta
+    has no factorization.
     """
 
     context: KunzContext
@@ -99,9 +97,6 @@ class KunzPoint:
     power_bounds: tuple
     min_inf: tuple
     length_extremes: tuple
-    _pseudomin_cache: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
 
     @property
     def m(self):
@@ -138,36 +133,27 @@ def kunz_point(ctx, coords, budget=None):
         )
     meter = BudgetMeter(budget)
     meter.spend(m * m)
+    # (a, b) is tight iff a <= a + b in the poset, and then a (+) b is the
+    # residue a + b; every other entry of the operation table is INFINITY.
+    # A nonzero residue is composite iff it is a (+) b for nonzero a, b.
     tight = set()
+    table = [[INFINITY] * m for _ in range(m)]
+    composite = set()
     for a in range(m):
         for b in range(a, m):
-            gap = x[a] + x[b] + (a + b) // m - x[(a + b) % m]
+            s = (a + b) % m
+            gap = x[a] + x[b] + (a + b) // m - x[s]
             if gap < 0:
                 raise InequalityViolatedError((a, b))
             if gap == 0:
                 tight.add((a, b))
                 tight.add((b, a))
-
-    relations = frozenset(
-        (a, b) for a in range(m) for b in range(m) if (a, (b - a) % m) in tight
-    )
-
-    table = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            s = (a + b) % m
-            row.append(s if (a, s) in relations else INFINITY)
-        table.append(tuple(row))
-    oplus_table = tuple(table)
-
-    composite = set()
-    for a in range(1, m):
-        for b in range(1, m):
-            s = oplus_table[a][b]
-            if s is not INFINITY and s != 0:
-                composite.add(s)
-    # From a list: tuple(genexpr) resizes, which fills the free lists.
+                table[a][b] = table[b][a] = s
+                if a and s:
+                    composite.add(s)
+    relations = frozenset([(a, (a + b) % m) for a, b in tight])
+    # From lists: tuple(genexpr) resizes, which fills the free lists.
+    oplus_table = tuple([tuple(row) for row in table])
     atoms = tuple([a for a in range(1, m) if a not in composite])
 
     # t_a = least k with the k-fold product of a equal to INFINITY; the
@@ -390,9 +376,6 @@ def pseudomin(point):
     The preorder compares evaluations only, so the test runs over the
     distinct evaluations, of which there are often far fewer than vectors.
     """
-    cached = point._pseudomin_cache.get("pseudomin")
-    if cached is not None:
-        return cached
     ev = [_evaluation(point, f.c) for f in point.min_inf]
     values = set(ev)
 
@@ -403,9 +386,7 @@ def pseudomin(point):
         e for e in values
         if all(leq(e, f) for f in values if f != e and leq(f, e))
     }
-    result = tuple(f for f, e in zip(point.min_inf, ev) if e in kept)
-    point._pseudomin_cache["pseudomin"] = result
-    return result
+    return tuple(f for f, e in zip(point.min_inf, ev) if e in kept)
 
 
 def cominimal(point, other):
@@ -428,63 +409,45 @@ def is_reduced_point(point):
 
     Every nonzero residue is invertible in Z/mZ, so the criterion is
     x_a + x_{-a} + d_{a,-a} > x_0 for every nonzero a, where the carry
-    d_{a,-a} = (a + (m - a)) // m is 1.
+    d_{a,-a} = (a + (m - a)) // m is 1.  It holds at every valid point,
+    since every coordinate is nonnegative: chaining the inequalities
+    along a, 2a, ... gives x_{ka} <= k * x_a + ka // m, and at k = ord(a)
+    the left side is x_0 = 0, so x_a >= -a/m > -1; hence x_a >= 0.
     """
     m = point.m
     x = point.x
     return all(x[a] + x[m - a] + 1 > x[0] for a in range(1, m))
 
 
-def _m_atom_violation(point, budget=None):
-    """A residue-sum-zero vector witnessing that m factors, or None.
+def _m_atom_violation(point):
+    """The lexicographically first factorization of m, or None.
 
-    Searches multiplicity vectors over nonzero residues with
-    sum c_a * x_a + d_(c) = 1 + x_0 and residue sum 0.  Since every term
-    is nonnegative and d_(c) = (sum c_a * r_a) / m when the residue sum is
-    0, the weighted sum of representatives is bounded by m * (1 + x_0).
-    The walk is depth first in lexicographic order, with the prefix sums
-    on an explicit stack (index i holds the sums over residues 1..i), and
-    spends one budget node per vector visited.
+    It counts the least elements w_a = x_a * m + a of the residues
+    1..m-1 (most significant first) with sum c_a * w_a = m.  Coordinates
+    are nonnegative (see is_reduced_point).  A factorization splits m as
+    s_1 + s_2 with s_1 in a nonzero residue a, so w_a + w_{m-a} <= m; the
+    sum is a positive multiple of m, so it is m and x_a = x_{m-a} = 0.
+    One with three or more summands can merge two into one residue with
+    a zero coordinate (zero coordinates are closed under sums below m),
+    which is lexicographically smaller.  So the first factorization is
+    the pair at the largest a <= m/2 with x_a = x_{m-a} = 0: one count at
+    a and one at m - a, or two at a when a = m/2.
     """
-    meter = BudgetMeter(budget)
     m = point.m
     x = point.x
-    limit_r = m * (1 + x[0])
-    target = 1 + x[0]
-    n = m - 1  # residues 1..m-1; counts[i] is the count of residue i + 1
-    counts = [0] * n
-    rsums = [0] * (n + 1)
-    xsums = [0] * (n + 1)
-    depth = 0  # counts[depth:] are zero
-    while True:
-        meter.spend()
-        if depth < n:
-            rsums[depth + 1] = rsums[depth]
-            xsums[depth + 1] = xsums[depth]
-            depth += 1
-            continue
-        rsum = rsums[n]
-        if rsum % m == 0 and xsums[n] + rsum // m == target:
+    for a in range(m // 2, 0, -1):
+        if x[a] == x[m - a] == 0:
+            counts = [0] * (m - 1)
+            counts[a - 1] += 1
+            counts[m - a - 1] += 1
             return tuple(counts)
-        # Advance to the next sibling of the deepest count that can grow.
-        while depth:
-            i = depth - 1
-            nr = rsums[depth] + i + 1
-            nx = xsums[depth] + x[i + 1]
-            if nr <= limit_r and nx <= target:
-                counts[i] += 1
-                rsums[depth] = nr
-                xsums[depth] = nx
-                break
-            counts[i] = 0
-            depth = i
-        else:
-            return None
+    return None
 
 
-def is_m_atom_point(point, budget=None):
-    """True iff m is an atom of the semigroup of the point."""
-    return _m_atom_violation(point, budget) is None
+def is_m_atom_point(point):
+    """True iff m is an atom of the semigroup of the point: no residue
+    1 <= a <= m/2 has x_a = x_{m-a} = 0 (see _m_atom_violation)."""
+    return _m_atom_violation(point) is None
 
 
 # -- the polytope-level verdict --------------------------------------------
@@ -517,7 +480,7 @@ class KunzVerdict:
     method: str = "kunz"
 
 
-def main_verdict(point, formula, budget=None):
+def main_verdict(point, formula):
     """Decide a shift-by-m length formula from the coordinates alone.
 
     Longest: for every minimal INFINITY-factorization c of length > 2,
@@ -530,12 +493,11 @@ def main_verdict(point, formula, budget=None):
     pseudominimal vectors is not sound (failures need not descend along
     evaluation divisibility), so all minimal vectors are checked; points
     on one face interior therefore share the same inequality templates.
-    The budget bounds the search for a factorization of m.
+    Every valid point is reduced (see is_reduced_point); when m is not an
+    atom, MNotAtomAtPointError carries the first factorization of m.
     """
     formula = _as_formula(formula)
-    if not is_reduced_point(point):
-        raise NotReducedError("the point's semigroup has nonzero units")
-    witness = _m_atom_violation(point, budget)
+    witness = _m_atom_violation(point)
     if witness is not None:
         raise MNotAtomAtPointError(
             f"m factors over the coordinate elements with multiplicities "

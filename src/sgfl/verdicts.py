@@ -217,16 +217,19 @@ def embdim3_check(S, formula, budget=None):
 def _length_tables_affine(S, wbound, formula, budget):
     """DP over all semigroup elements of grading value at most wbound.
 
-    One budget node per element the table adds, the zero element included.
+    Returns (best, layers): best maps each element to L (or l), and
+    layers[w] lists the elements of grading value w.  One budget node per
+    element the table adds, the zero element included.
     """
     maximize = formula is Formula.LONGEST
     meter = BudgetMeter(budget)
     meter.spend()
     best = {(0,) * S.dim: 0}
-    layers = {0: [(0,) * S.dim]}
+    layers = [[] for _ in range(wbound + 1)]
+    layers[0].append((0,) * S.dim)
     wg = [S.grading_value(g) for g in S.generators]
-    for w in range(wbound + 1):
-        for v in layers.get(w, ()):
+    for w, layer in enumerate(layers):
+        for v in layer:
             lv = best[v]
             for g, wgi in zip(S.generators, wg):
                 nw = w + wgi
@@ -238,10 +241,10 @@ def _length_tables_affine(S, wbound, formula, budget):
                 if old is None:
                     meter.spend()
                     best[nv] = cand
-                    layers.setdefault(nw, []).append(nv)
+                    layers[nw].append(nv)
                 elif cand > old if maximize else cand < old:
                     best[nv] = cand
-    return best
+    return best, layers
 
 
 def default_scan_bound(S, formula):
@@ -316,12 +319,11 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
             bound = 120
         exact = False
         wm = S.grading_value(m_elt)
-        table = _length_tables_affine(S, bound + wm, formula, budget)
+        table, layers = _length_tables_affine(S, bound + wm, formula, budget)
+        in_range = [s for layer in layers[:bound + 1] for s in layer]
         checked = []
         counterexamples = []
-        for s in sorted(table, key=_element_sort_key):
-            if S.grading_value(s) > bound:
-                continue
+        for s in sorted(in_range, key=_element_sort_key):
             shifted = tuple(a + b for a, b in zip(s, S.vector(m_elt)))
             check = Check(shifted, table[shifted], table[s] + 1)
             checked.append(check)

@@ -17,6 +17,9 @@ on different machinery than the library paths they check:
 * length_dp: a full L / l table by generator-outer passes, against the
   numerical oracle_scan, which computes its lengths inside the scan loop
   and stops at the first counterexample;
+* m_factorization: the lexicographically first factorization of m over
+  the coordinate elements of a Kunz point by plain enumeration, against
+  the closed-form m-atom test and the witness of MNotAtomAtPointError;
 * oracle_scan against check_formula, which reads dimension-1 lengths
   from lengths.length_table; the table in turn is checked value by value
   against the branch-and-bound search in
@@ -34,6 +37,7 @@ from math import gcd
 
 import pytest
 
+from sgfl.errors import MNotAtomAtPointError
 from sgfl.kunz import (
     is_m_atom_point,
     is_reduced_point,
@@ -308,6 +312,16 @@ def definitional_threshold(m, c, c2):
     return None if rem else b
 
 
+def m_factorization(m, x):
+    """The lexicographically first count vector c over residues 1..m-1
+    (residue 1 most significant) with sum c_a * (x_a * m + a) = m, or None
+    when m is an atom.  Plain enumeration with c_a <= m // a."""
+    for c in itertools.product(*(range(m // a + 1) for a in range(1, m))):
+        if sum(ca * (x[a] * m + a) for a, ca in enumerate(c, 1)) == m:
+            return c
+    return None
+
+
 def enumerate_kunz_points(m, cap=KUNZ_COORD_CAP):
     """All integer points with x_0 = 0 and coordinates in [0, cap]."""
     d = [
@@ -351,7 +365,9 @@ class ScanRecord:
     reduced: bool
     roundtrip: bool
     m_atom: bool
+    m_atom_matches: bool
     face_key: tuple
+    witness_matches: bool | None = None
     f_bijection: bool | None = None
     g_bijection: bool | None = None
     sq_matches_divides: bool | None = None
@@ -377,12 +393,14 @@ def scan_one_point(args):
     ctx = _ctx(m)
     point = kunz_point(ctx, coords)
     S = semigroup_of_point(ctx, point)
+    m_atom = is_m_atom_point(point)
     record = ScanRecord(
         m=m,
         coords=coords,
         reduced=is_reduced_point(point),
         roundtrip=point_of_semigroup(ctx, S).x == coords,
-        m_atom=is_m_atom_point(point),
+        m_atom=m_atom,
+        m_atom_matches=m_atom == (m in S.atoms),
         face_key=(m, tuple(sorted(point.equality_set))),
     )
 
@@ -402,7 +420,18 @@ def scan_one_point(args):
         ):
             record.d_identity = False
 
+    if not record.m_atom_matches:
+        return record
     if not record.m_atom:
+        try:
+            main_verdict(point, "longest")
+        except MNotAtomAtPointError as exc:
+            record.witness_matches = str(exc) == (
+                "m factors over the coordinate elements with multiplicities "
+                f"{m_factorization(m, coords)} on residues 1..{m - 1}"
+            )
+        else:
+            record.witness_matches = False
         return record
 
     report = candidate_sets(S, m, min_repl(S, m))

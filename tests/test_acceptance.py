@@ -265,9 +265,15 @@ def test_criterion_8_structural_suites(kunz_scan):
                 failures.append(("noms-shortest", S.atoms, v))
 
     # Point-level identities and bijections from the exhaustive scan.
+    if all(r.m_atom for r in kunz_scan):
+        failures.append(("no-point-without-m-atom",))
     for r in kunz_scan:
         if not r.reduced:
             failures.append(("reduced", r.m, r.coords))
+        if not r.m_atom_matches:
+            failures.append(("m-atom-vs-semigroup-atoms", r.m, r.coords))
+        if not r.m_atom and r.witness_matches is not True:
+            failures.append(("m-factorization-witness", r.m, r.coords))
         if not r.roundtrip:
             failures.append(("rho-roundtrip", r.m, r.coords))
         if not r.iterated_inequality:

@@ -265,15 +265,16 @@ def test_point_builders_pass_their_budget_through():
 
 
 def test_atom_searches_are_not_recursive():
-    # <m, m+1> at m = 1100: the m-atom search walks 1099 residues deep,
-    # past the interpreter's default recursion limit.
+    # <m, m+1> at m = 1100: more nonzero residues than the interpreter's
+    # default recursion limit; the point builds and both verdicts return.
     m = 1100
     p = point_of_semigroup(numerical_context(m), new_semigroup([m, m + 1]))
     assert p.atoms == (1,)
     assert [f.c for f in p.min_inf] == [(m,)]
     assert is_m_atom_point(p)
-    with pytest.raises(BudgetExceededError):
-        is_m_atom_point(p, budget=m)
+    assert main_verdict(p, "longest").holds
+    # l(m * m) = m = l(m * (m + 1)), since m * (m + 1) = m copies of m + 1.
+    assert not main_verdict(p, "shortest").holds
 
 
 def test_pinfty_length_extremes(base_point):
