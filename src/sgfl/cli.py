@@ -22,11 +22,11 @@ from .errors import SgflError
 from .examples_suite import run_rows
 from .lengths import length_summary
 from .kunz import (
-    cominimal,
     kunz_point,
     main_verdict,
     numerical_context,
     pseudomin,
+    require_same_face,
     semigroup_of_point,
 )
 from .minrepl import candidate_sets, min_repl
@@ -90,6 +90,11 @@ def parse_generators(text, dim=None):
     return gens, inferred
 
 
+def _semigroup(text, dim):
+    gens, inferred = parse_generators(text, dim)
+    return new_semigroup(gens, dim=dim or inferred)
+
+
 def parse_element(text, dim):
     text = text.strip()
     if "(" in text:
@@ -117,8 +122,7 @@ def parse_semigroup_line(line):
             raise SgflError(f"unknown field {key!r} in input line {line!r}")
     if gens_text is None:
         raise SgflError(f"input line {line!r} has no gens= field")
-    gens, inferred = parse_generators(gens_text, dim)
-    return new_semigroup(gens, dim=dim or inferred)
+    return _semigroup(gens_text, dim)
 
 
 # -- serialization ----------------------------------------------------------
@@ -143,15 +147,13 @@ def verdict_json(v):
         "method": v.method,
         "exact": v.exact,
         "bound": v.bound,
-        "checked": [
-            {"element": _jsonable(c.element), "value": c.value, "shifted": c.shifted}
-            for c in v.checked
-        ],
-        "counterexamples": [
-            {"element": _jsonable(c.element), "value": c.value, "shifted": c.shifted}
-            for c in v.counterexamples
-        ],
+        "checked": [_check_json(c) for c in v.checked],
+        "counterexamples": [_check_json(c) for c in v.counterexamples],
     }
+
+
+def _check_json(c):
+    return {"element": _jsonable(c.element), "value": c.value, "shifted": c.shifted}
 
 
 def length_summary_json(summary):
@@ -253,8 +255,7 @@ def _cmd_analyze(args, config):
                 if line and not line.startswith("#"):
                     semigroups.append(parse_semigroup_line(line))
     if args.gens:
-        gens, inferred = parse_generators(args.gens, args.dim)
-        semigroups.append(new_semigroup(gens, dim=args.dim or inferred))
+        semigroups.append(_semigroup(args.gens, args.dim))
     if not semigroups:
         raise SgflError("analyze needs --gens or --file")
 
@@ -308,8 +309,7 @@ def _cmd_analyze(args, config):
 
 
 def _cmd_minrepl(args, config):
-    gens, inferred = parse_generators(args.gens, args.dim)
-    S = new_semigroup(gens, dim=args.dim or inferred)
+    S = _semigroup(args.gens, args.dim)
     m = parse_element(args.m, S.dim)
     report = candidate_sets(S, m, min_repl(S, m, budget=config.budget))
     if config.output == "tsv":
@@ -325,8 +325,7 @@ def _cmd_minrepl(args, config):
 
 
 def _cmd_verdict(args, config):
-    gens, inferred = parse_generators(args.gens, args.dim)
-    S = new_semigroup(gens, dim=args.dim or inferred)
+    S = _semigroup(args.gens, args.dim)
     m = parse_element(args.m, S.dim)
     if args.method == "embdim3":
         verdict = embdim3_check(S, args.formula, budget=config.budget)
@@ -355,6 +354,7 @@ def _cmd_kunz(args, config):
     ctx = numerical_context(args.m)
     point = kunz_point(ctx, _ints(args.x), budget=config.budget)
     S = semigroup_of_point(ctx, point)
+    mine = pseudomin(point)
     result = {
         "m": args.m,
         "x": list(point.x),
@@ -364,7 +364,7 @@ def _cmd_kunz(args, config):
             sorted((a, b) for (a, b) in point.relations if a != b)
         ),
         "min_inf": [_jsonable(f.c) for f in point.min_inf],
-        "pseudomin": [_jsonable(f.c) for f in pseudomin(point)],
+        "pseudomin": [_jsonable(f.c) for f in mine],
     }
     exit_code = 0
     if args.verdict:
@@ -374,7 +374,9 @@ def _cmd_kunz(args, config):
             exit_code = 1
     if args.cominimal:
         other = kunz_point(ctx, _ints(args.cominimal), budget=config.budget)
-        result["cominimal"] = cominimal(point, other)
+        require_same_face(point, other)  # kunz.cominimal, reusing mine
+        theirs = pseudomin(other)
+        result["cominimal"] = {f.c for f in mine} == {f.c for f in theirs}
     if config.output != "json":
         raise SgflError("kunz reports are not flat; use json output")
     return _emit(_envelope("kunz", config, result)), exit_code
@@ -438,6 +440,17 @@ def build_parser():
         p.add_argument("--gens", help="10,12,21,38 or (2,0),(3,1),(0,5)")
         p.add_argument("--dim", type=int, default=None)
 
+    def add_check(p):
+        add_gens(p)
+        p.add_argument("--m", required=True)
+        p.add_argument("--formula", required=True, choices=("longest", "shortest"))
+        p.add_argument("--bound", type=int, default=None)
+        p.add_argument("--all", action="store_true",
+                       help="report every counterexample in range, not the first")
+        p.add_argument("--allow-default", action="store_true",
+                       help="permit the default bound for evidence-only scans")
+        p.add_argument("--assert-holds", action="store_true")
+
     p = sub.add_parser("analyze", parents=[common],
                        help="verdicts for every candidate atom")
     add_gens(p)
@@ -455,28 +468,14 @@ def build_parser():
 
     p = sub.add_parser("verdict", parents=[common],
                        help="decide one formula at one atom")
-    add_gens(p)
-    p.add_argument("--m", required=True)
-    p.add_argument("--formula", required=True, choices=("longest", "shortest"))
+    add_check(p)
     p.add_argument("--method", choices=("minrepl", "embdim3", "oracle"),
                    default="minrepl")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--all", action="store_true",
-                   help="report every counterexample in range, not the first")
-    p.add_argument("--allow-default", action="store_true",
-                   help="permit the default bound for evidence-only scans")
-    p.add_argument("--assert-holds", action="store_true")
     p.set_defaults(func=_cmd_verdict)
 
     p = sub.add_parser("oracle", parents=[common],
                        help="brute-force scan of one formula")
-    add_gens(p)
-    p.add_argument("--m", required=True)
-    p.add_argument("--formula", required=True, choices=("longest", "shortest"))
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--allow-default", action="store_true")
-    p.add_argument("--assert-holds", action="store_true")
+    add_check(p)
     p.set_defaults(func=_cmd_verdict, method="oracle")
 
     p = sub.add_parser("kunz", parents=[common], help="polytope-point reports")

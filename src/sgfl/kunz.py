@@ -389,14 +389,19 @@ def pseudomin(point):
     return tuple(f for f, e in zip(point.min_inf, ev) if e in kept)
 
 
-def cominimal(point, other):
-    """True iff two points of one face interior share pseudominimal sets."""
+def require_same_face(point, other):
+    """DifferentFaceError unless both points lie on one face interior."""
     if point.context.m != other.context.m:
         raise DifferentFaceError("points live over different moduli")
     if point.equality_set != other.equality_set:
         raise DifferentFaceError(
             "points do not lie on the interior of the same face"
         )
+
+
+def cominimal(point, other):
+    """True iff two points of one face interior share pseudominimal sets."""
+    require_same_face(point, other)
     mine = {f.c for f in pseudomin(point)}
     theirs = {f.c for f in pseudomin(other)}
     return mine == theirs

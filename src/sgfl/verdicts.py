@@ -218,18 +218,18 @@ def _length_tables_affine(S, wbound, formula, budget):
     """DP over all semigroup elements of grading value at most wbound.
 
     Returns (best, layers): best maps each element to L (or l), and
-    layers[w] lists the elements of grading value w.  One budget node per
-    element the table adds, the zero element included.
+    layers maps each grading value that has elements to their list, so a
+    huge wbound allocates nothing.  One budget node per element the table
+    adds, the zero element included.
     """
     maximize = formula is Formula.LONGEST
     meter = BudgetMeter(budget)
     meter.spend()
     best = {(0,) * S.dim: 0}
-    layers = [[] for _ in range(wbound + 1)]
-    layers[0].append((0,) * S.dim)
+    layers = {0: [(0,) * S.dim]}
     wg = [S.grading_value(g) for g in S.generators]
-    for w, layer in enumerate(layers):
-        for v in layer:
+    for w in range(wbound + 1):
+        for v in layers.get(w, ()):
             lv = best[v]
             for g, wgi in zip(S.generators, wg):
                 nw = w + wgi
@@ -241,7 +241,7 @@ def _length_tables_affine(S, wbound, formula, budget):
                 if old is None:
                     meter.spend()
                     best[nv] = cand
-                    layers[nw].append(nv)
+                    layers.setdefault(nw, []).append(nv)
                 elif cand > old if maximize else cand < old:
                     best[nv] = cand
     return best, layers
@@ -320,7 +320,7 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         exact = False
         wm = S.grading_value(m_elt)
         table, layers = _length_tables_affine(S, bound + wm, formula, budget)
-        in_range = [s for layer in layers[:bound + 1] for s in layer]
+        in_range = [s for w in range(bound + 1) for s in layers.get(w, ())]
         checked = []
         counterexamples = []
         for s in sorted(in_range, key=_element_sort_key):

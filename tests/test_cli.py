@@ -232,6 +232,30 @@ def test_kunz_subcommand(capsys, schema):
     assert ((0, 3, 0, -1, 0), ">=", 2) in templates
 
 
+def test_kunz_cominimal_computes_each_pseudomin_once(capsys, monkeypatch):
+    calls = []
+    real = sgfl.cli.pseudomin
+
+    def counting(point):
+        calls.append(point.x)
+        return real(point)
+
+    monkeypatch.setattr(sgfl.cli, "pseudomin", counting)
+    code, out, _ = run_cli(
+        capsys, "kunz", "point", "--m", "5", "--x", "0,1,2,1,2",
+        "--cominimal", "0,11,22,32,43",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["cominimal"] is True
+    assert calls == [(0, 1, 2, 1, 2), (0, 11, 22, 32, 43)]
+    code, _, err = run_cli(
+        capsys, "kunz", "point", "--m", "5", "--x", "0,1,2,1,2",
+        "--cominimal", "0,0,0,0,0",
+    )
+    assert code == 2
+    assert "same face" in err
+
+
 def test_paper_examples(capsys, schema):
     code, out, _ = run_cli(capsys, "paper-examples")
     assert code == 0

@@ -199,6 +199,21 @@ def test_oracle_scan_budget_covers_its_range(chicken, plane):
         oracle_scan(plane, m, "longest", bound=bound, budget=elements - 1)
 
 
+def test_affine_oracle_scan_huge_bound_trips_budget_small(plane):
+    # The affine table keeps only the grading layers that have elements,
+    # so a huge bound costs nothing until the walk adds elements; a list
+    # of layers sized by the bound would take gigabytes before the budget
+    # could stop it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            oracle_scan(plane, (3, 1), "longest", bound=10**9, budget=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def _expected_scan(S, m, formula, bound, all_counterexamples):
     """(checked, counterexamples) of a numerical scan, from a full table."""
     table = length_dp(S.atoms, bound + m, formula == "longest")
