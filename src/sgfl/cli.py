@@ -309,11 +309,11 @@ def _cmd_analyze(args, config):
 
 
 def _cmd_minrepl(args, config):
+    if config.output == "tsv":
+        raise SgflError("minrepl reports are not flat; use json or pretty")
     S = _semigroup(args.gens, args.dim)
     m = parse_element(args.m, S.dim)
     report = candidate_sets(S, m, min_repl(S, m, budget=config.budget))
-    if config.output == "tsv":
-        raise SgflError("minrepl reports are not flat; use json or pretty")
     if config.output == "pretty":
         lines = [f"minimal replaceable vectors over {_jsonable(report.atom_index)}:"]
         for v in report.minimal_vectors:
@@ -351,6 +351,8 @@ def _cmd_verdict(args, config):
 
 
 def _cmd_kunz(args, config):
+    if config.output != "json":
+        raise SgflError("kunz reports are not flat; use json output")
     ctx = numerical_context(args.m)
     point = kunz_point(ctx, _ints(args.x), budget=config.budget)
     S = semigroup_of_point(ctx, point)
@@ -377,12 +379,12 @@ def _cmd_kunz(args, config):
         require_same_face(point, other)  # kunz.cominimal, reusing mine
         theirs = pseudomin(other)
         result["cominimal"] = {f.c for f in mine} == {f.c for f in theirs}
-    if config.output != "json":
-        raise SgflError("kunz reports are not flat; use json output")
     return _emit(_envelope("kunz", config, result)), exit_code
 
 
 def _cmd_paper_examples(args, config):
+    if config.output == "tsv":
+        raise SgflError("example reports are not flat; use json or pretty")
     rows = run_rows(budget=config.budget)
     result = [
         {
@@ -407,8 +409,6 @@ def _cmd_paper_examples(args, config):
             f"{sum(r.status == 'error' for r in rows)} errored"
         )
         return "\n".join(lines + [counts]) + "\n", exit_code
-    if config.output == "tsv":
-        raise SgflError("example reports are not flat; use json or pretty")
     return _emit(_envelope("paper-examples", config, result)), exit_code
 
 

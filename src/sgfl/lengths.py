@@ -143,7 +143,12 @@ def length_table(S, upto, maximize, budget=None):
     for i in range(pad + 1, pad + upto + 1):
         best = pick([table[i - g] for g in gens], default=missing)
         table.append(missing if best == missing else best + 1)
-    return [None if x == missing else x for x in table[pad:]]
+    # In place, so the table is the only list of its size at any time.
+    del table[:pad]
+    for v, x in enumerate(table):
+        if x == missing:
+            table[v] = None
+    return table
 
 
 def length_summary(S, v, m=None, budget=None):

@@ -86,6 +86,9 @@ class _MemberOracle:
     for n mod n1 (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).
     The table is built on the first query n >= n1; below n1 only 0 is in the
     span, so a query smaller than n1 never pays for n1 entries.
+    contains_int is that test on a bare int: SemigroupPresentation sends
+    dimension-1 ints straight to it, and the vector contains unwraps its
+    one coordinate.
     Higher dimensions use an iterative depth-first search on residual
     vectors, ordered by decreasing grading value, memoized on the residual.
     A residual with a negative grading value is rejected immediately, which
@@ -108,12 +111,15 @@ class _MemberOracle:
 
     def contains(self, vec):
         if self.dim == 1:
-            n = vec[0]
-            if n < self.modulus:
-                return n == 0
-            least = self.least_per_residue()[n % self.modulus]
-            return least is not None and n >= least
+            return self.contains_int(vec[0])
         return self._contains_affine(vec)
+
+    def contains_int(self, n):
+        """Dimension-1 membership of the int n."""
+        if n < self.modulus:
+            return n == 0
+        least = self.least_per_residue()[n % self.modulus]
+        return least is not None and n >= least
 
     def least_per_residue(self):
         """The dimension-1 table modulo n1, built on first use."""
@@ -274,10 +280,14 @@ class SemigroupPresentation:
 
     def contains(self, value):
         """True iff value is an N-combination of the generators."""
+        if self.dim == 1 and isinstance(value, int):
+            return self._oracle.contains_int(value)
         return self._oracle.contains(_as_vector(value, self.dim))
 
     def divides(self, a, b):
         """True iff b - a lies in the semigroup."""
+        if self.dim == 1 and isinstance(a, int) and isinstance(b, int):
+            return self._oracle.contains_int(b - a)
         return self._oracle.contains(
             _sub(_as_vector(b, self.dim), _as_vector(a, self.dim))
         )

@@ -14,12 +14,17 @@ shortest-length analogue):
   checked; for affine semigroups it is desk-scale evidence only and the
   Verdict is flagged exact=False.  The budget is charged one node per
   value of the numerical range, or per element of the affine table.
+
+Each evaluated instance is a Check, a NamedTuple: the numerical scan makes
+one per value it checks, so the record is kept as light as a tuple.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import BudgetMeter
 from .errors import (
@@ -45,9 +50,15 @@ def _as_formula(formula):
     return Formula(str(formula).lower())
 
 
-@dataclass(frozen=True)
-class Check:
-    """One evaluated instance: value = L(s) (or l(s)), shifted = L(s-m)+1."""
+class Check(NamedTuple):
+    """One evaluated instance: value = L(s) (or l(s)), shifted = L(s-m)+1.
+
+    A NamedTuple, not a frozen dataclass, because oracle_scan builds one per
+    scanned value: a tuple subclass is built in one call, where a frozen
+    dataclass sets each field through object.__setattr__, and the record
+    stays immutable and hashable.  Being a tuple, a Check also compares
+    equal to the plain triple (element, value, shifted).
+    """
 
     element: object
     value: int
@@ -290,6 +301,9 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         BudgetMeter(budget).spend(bound + m_elt + 1)
         gens = [g[0] for g in S.generators]
         maximize = formula is Formula.LONGEST
+        # Builds Check(v, value, shifted) in C, without the Python-level
+        # __new__ that a NamedTuple call runs once per scanned value.
+        new_check = functools.partial(tuple.__new__, Check)
         best = [0]  # L (or l) of 0..v; None marks non-members
         checked = []
         counterexamples = []
@@ -304,9 +318,10 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
             prev = best[v - m_elt] if v >= m_elt else None
             if prev is None:
                 continue
-            check = Check(v, cur, prev + 1)
+            shifted = prev + 1
+            check = new_check((v, cur, shifted))
             checked.append(check)
-            if not check.ok:
+            if cur != shifted:
                 counterexamples.append(check)
                 if not all_counterexamples:
                     break

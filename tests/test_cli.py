@@ -212,6 +212,24 @@ def test_tsv_rejected_for_non_flat_reports(capsys):
     assert "json" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("kunz", "point", "--m", "5", "--x", "0,1,2,1,2", "--output", "tsv"),
+    ("kunz", "point", "--m", "5", "--x", "0,1,2,1,2", "--output", "pretty"),
+    ("minrepl", "--gens", "5,6,8", "--m", "5", "--output", "tsv"),
+    ("paper-examples", "--output", "tsv"),
+])
+def test_unflat_output_refused_before_any_work(capsys, monkeypatch, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done before the output check")
+
+    for name in ("kunz_point", "min_repl", "run_rows"):
+        monkeypatch.setattr(sgfl.cli, name, forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not flat" in err
+
+
 def test_kunz_subcommand(capsys, schema):
     code, out, _ = run_cli(
         capsys, "kunz", "point", "--m", "5", "--x", "0,1,2,1,2",

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -198,3 +199,20 @@ def test_length_table_budget_and_dimension(chicken, plane):
     assert length_table(chicken, 99, True, budget=100)[48] == 4
     with pytest.raises(NotNumericalError):
         length_table(plane, 10, True)
+
+
+def test_length_table_keeps_one_list_at_peak():
+    # Lengths up to 250 are cached small ints, so the table's memory is its
+    # array of pointers; a padded table, its slice and a None-mapped copy
+    # held at once would be three such arrays.
+    S = new_semigroup([200, 201, 203])
+    upto = 50_000
+    tracemalloc.start()
+    try:
+        table = length_table(S, upto, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == upto + 1
+    assert (table[0], table[199], table[400], table[403]) == (0, None, 2, 2)
+    assert peak < 2 * 8 * (upto + 1)

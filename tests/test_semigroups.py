@@ -91,6 +91,8 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         S.contains(5)
     with pytest.raises(DimensionMismatchError):
+        S.divides(1, 2)
+    with pytest.raises(DimensionMismatchError):
         S.contains((1, 2, 3))
 
 
@@ -238,6 +240,19 @@ def test_contains_matches_independent_table():
         table = membership_table(gens, 3 * nk)
         for n in range(-n1, 3 * nk + 1):
             assert S.contains(n) == (n >= 0 and table[n]), (gens, n)
+
+
+def test_int_divides_matches_tuple_form_and_independent_table():
+    # Ints take the direct residue-table test; tuples the vector path.
+    for gens in _seeded_numerical_lists(20261018, 60):
+        S = new_semigroup(gens)
+        nk = max(gens)
+        table = membership_table(gens, 3 * nk)
+        for a in range(0, 3 * nk + 1, 7):
+            for b in range(3 * nk + 1):
+                expected = b >= a and table[b - a]
+                assert S.divides(a, b) == expected, (gens, a, b)
+                assert S.divides((a,), (b,)) == expected, (gens, a, b)
 
 
 def test_apery_and_frobenius_match_independent_table():

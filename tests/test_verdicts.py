@@ -15,6 +15,7 @@ from sgfl.lengths import length_summary, length_table
 from sgfl.minrepl import MinReplReport, min_repl
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import (
+    Check,
     Formula,
     candidate_atoms,
     check_formula,
@@ -59,6 +60,25 @@ def test_check_formula_shortest_fails_at_84(chicken):
     assert by_element[48].ok
     assert (by_element[84].value, by_element[84].shifted) == (4, 5)
     assert [c.element for c in verdict.counterexamples] == [84]
+
+
+def test_check_is_an_immutable_hashable_record(chicken):
+    check = Check(48, 4, 2)
+    assert check == Check(element=48, value=4, shifted=2) == (48, 4, 2)
+    assert (check.element, check.value, check.shifted) == (48, 4, 2)
+    with pytest.raises(AttributeError):
+        check.value = 3
+    assert len({check, Check(48, 4, 2), Check(48, 2, 2)}) == 2
+    for value, shifted in itertools.product(range(4), repeat=2):
+        assert Check(0, value, shifted).ok == (value == shifted)
+    # The criterion and the scan report the same Check at a shared element.
+    for m, formula in ((10, "longest"), (38, "shortest")):
+        scan = oracle_scan(chicken, m, formula, all_counterexamples=True)
+        assert all(type(c) is Check for c in scan.checked)
+        assert scan.counterexamples == tuple(c for c in scan.checked if not c.ok)
+        scanned = {c.element: c for c in scan.checked}
+        for c in check_formula(chicken, m, formula).checked:
+            assert scanned[c.element] == c
 
 
 def test_check_formula_plane(plane):
