@@ -64,7 +64,8 @@ class MissingBoundError(SgflError):
 
 
 class BadModulusError(SgflError):
-    """Quotient moduli must be integers >= 2."""
+    """Quotient moduli must be integers >= 2, and a point must live over
+    the modulus of the context it is used with."""
 
 
 class NotIntegerPointError(SgflError):

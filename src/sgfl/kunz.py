@@ -17,19 +17,20 @@ object carries the modulus alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import sub
+from dataclasses import dataclass, field
+from operator import mul
 
 from .budget import BudgetMeter
 from .errors import (
     BadModulusError,
     DifferentFaceError,
+    DimensionMismatchError,
     InequalityViolatedError,
     MNotAtomAtPointError,
     NoFactorizationError,
     NotIntegerPointError,
 )
-from .semigroups import minimal_generating_subset, new_semigroup
+from .semigroups import new_semigroup
 from .verdicts import Formula, _as_formula
 
 INFINITY = None  # the absorbing element of the extended quotient semigroup
@@ -48,9 +49,22 @@ def numerical_context(m):
     return KunzContext(m=m)
 
 
+def _require_length(counts, n):
+    """DimensionMismatchError unless counts has n entries."""
+    if len(counts) != n:
+        raise DimensionMismatchError(
+            f"expected a vector of {n} counts, got {counts!r}"
+        )
+
+
 def _residue_sum(counts, support):
     """rs(c) = sum c_a * r_a over the given residues."""
     return sum(c * a for c, a in zip(counts, support))
+
+
+def _images(m, x, residues):
+    """The least elements w_a = m * x_a + a of the given residue classes."""
+    return [m * x[a] + a for a in residues]
 
 
 def _carry(m, counts, support):
@@ -85,7 +99,9 @@ class KunzPoint:
     factorization-length extremes of every residue) is computed eagerly at
     construction; nothing is filled in later.  length_extremes[beta] is
     the (longest, shortest) pair of beta over the atoms, or None when beta
-    has no factorization.
+    has no factorization.  evaluations maps each minimal INFINITY vector c
+    to ev(c) = sum c_a * w_a over the atom images w_a = m * x_a + a; it is
+    determined by the fields above, so it is kept out of eq, hash and repr.
     """
 
     context: KunzContext
@@ -97,6 +113,7 @@ class KunzPoint:
     power_bounds: tuple
     min_inf: tuple
     length_extremes: tuple
+    evaluations: dict = field(compare=False, repr=False)
 
     @property
     def m(self):
@@ -171,6 +188,8 @@ def kunz_point(ctx, coords, budget=None):
     min_inf, length_extremes = _atom_walk(
         m, oplus_table, atoms, power_bounds, meter
     )
+    images = _images(m, x, atoms)
+    evaluations = {f.c: sum(map(mul, f.c, images)) for f in min_inf}
 
     return KunzPoint(
         context=ctx,
@@ -182,6 +201,7 @@ def kunz_point(ctx, coords, budget=None):
         power_bounds=power_bounds,
         min_inf=min_inf,
         length_extremes=length_extremes,
+        evaluations=evaluations,
     )
 
 
@@ -285,25 +305,38 @@ def point_of_semigroup(ctx, S, budget=None):
     )
 
 
+def _point_over(ctx, point, budget):
+    """point as a KunzPoint over ctx; raw coordinates are built with the
+    budget, and a built point over another modulus is refused."""
+    if not isinstance(point, KunzPoint):
+        return kunz_point(ctx, point, budget=budget)
+    if point.m != ctx.m:
+        raise BadModulusError(
+            f"the point lives over m = {point.m}, the context over m = {ctx.m}"
+        )
+    return point
+
+
 def semigroup_of_point(ctx, point, budget=None):
     """The numerical semigroup generated by m and the coordinate elements.
 
+    Its atoms are the images w_a = m * x_a + a of the point's atoms a, and
+    m when m is an atom (see _m_atom_violation).  Proof: an atom s != m
+    has s - m outside S, so it is the least element w_a of its residue,
+    and w_a = w_b + w_c for nonzero b, c exactly when a = b (+) c is
+    composite at the point.  new_semigroup still confirms every atom.
     The budget is spent by kunz_point when point is raw coordinates.
     """
-    if not isinstance(point, KunzPoint):
-        point = kunz_point(ctx, point, budget=budget)
-    raw = [ctx.m] + [
-        point.x[a] * ctx.m + a for a in range(1, ctx.m)
-    ]
-    kept = [v[0] for v in minimal_generating_subset([(g,) for g in raw], 1)]
-    return new_semigroup(sorted(kept))
+    point = _point_over(ctx, point, budget)
+    gens = _images(ctx.m, point.x, point.atoms)
+    if _m_atom_violation(point) is None:
+        gens.append(ctx.m)
+    return new_semigroup(gens)
 
 
 def poset_of_point(ctx, point, budget=None):
     """All order relations a <= b (reflexive closure included)."""
-    if not isinstance(point, KunzPoint):
-        point = kunz_point(ctx, point, budget=budget)
-    return point.relations
+    return _point_over(ctx, point, budget).relations
 
 
 def oplus(point, a, b):
@@ -323,7 +356,8 @@ def pinfty_length_extremes(point, beta):
 
     Read from the extremes recorded by the atom walk at construction.
     """
-    extremes = point.length_extremes[beta] if beta in range(point.m) else None
+    in_range = isinstance(beta, int) and 0 <= beta < point.m
+    extremes = point.length_extremes[beta] if in_range else None
     if extremes is None:
         raise NoFactorizationError(
             f"residue {beta} has no factorization over the atoms {point.atoms}"
@@ -332,7 +366,12 @@ def pinfty_length_extremes(point, beta):
 
 
 def structure_constants(ctx, counts, counts2, support):
-    """(d_{(c)}, b_{(c),(c')}) for vectors over the given residue support."""
+    """(d_{(c)}, b_{(c),(c')}) for vectors over the given residue support.
+
+    Each vector needs one count per residue of the support.
+    """
+    _require_length(counts, len(support))
+    _require_length(counts2, len(support))
     return (
         _carry(ctx.m, counts, support)[0],
         _threshold(ctx.m, counts, counts2, support),
@@ -341,13 +380,9 @@ def structure_constants(ctx, counts, counts2, support):
 
 def _evaluation(point, counts):
     """ev(c) = m * sum c_a x_a + rs(c): the element of the point's semigroup
-    that c multiplies out to over the atom images x_a * m + a."""
-    m = point.context.m
-    x = point.x
-    total = 0
-    for c, a in zip(counts, point.atoms):
-        total += c * (m * x[a] + a)
-    return total
+    that c multiplies out to over the atom images w_a = x_a * m + a."""
+    _require_length(counts, len(point.atoms))
+    return sum(map(mul, counts, _images(point.m, point.x, point.atoms)))
 
 
 def _point_contains(x, m, n):
@@ -362,11 +397,17 @@ def sq_leq(point, c, c2):
 
     c <= c' holds iff ev(c') - ev(c) = ev(c' - c) lies in the semigroup of
     the point, which is the inequality
-    -x_{b'-b} + sum (c'_a - c_a) x_a >= b_{(c),(c')}.
+    -x_{b'-b} + sum (c'_a - c_a) x_a >= b_{(c),(c')}.  The evaluations of
+    minimal INFINITY vectors are read from the point; any other vector,
+    lists included, is evaluated here and needs one count per atom.
     """
-    return _point_contains(
-        point.x, point.context.m, _evaluation(point, map(sub, c2, c))
-    )
+    evaluations = point.evaluations
+    try:
+        diff = evaluations[c2] - evaluations[c]
+    except (KeyError, TypeError):  # not in min_inf, or a list
+        diff = _evaluation(point, c2) - _evaluation(point, c)
+    q, r = divmod(diff, point.context.m)  # _point_contains, inlined: hot path
+    return q >= point.x[r]
 
 
 def pseudomin(point):
@@ -376,8 +417,8 @@ def pseudomin(point):
     The preorder compares evaluations only, so the test runs over the
     distinct evaluations, of which there are often far fewer than vectors.
     """
-    ev = [_evaluation(point, f.c) for f in point.min_inf]
-    values = set(ev)
+    ev = point.evaluations
+    values = set(ev.values())
 
     def leq(e, f):
         return _point_contains(point.x, point.m, f - e)
@@ -386,7 +427,7 @@ def pseudomin(point):
         e for e in values
         if all(leq(e, f) for f in values if f != e and leq(f, e))
     }
-    return tuple(f for f, e in zip(point.min_inf, ev) if e in kept)
+    return tuple(f for f in point.min_inf if ev[f.c] in kept)
 
 
 def require_same_face(point, other):

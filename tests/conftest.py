@@ -20,6 +20,9 @@ on different machinery than the library paths they check:
 * m_factorization: the lexicographically first factorization of m over
   the coordinate elements of a Kunz point by plain enumeration, against
   the closed-form m-atom test and the witness of MNotAtomAtPointError;
+* coordinate_atoms: the atoms of <m, w_1, ..., w_{m-1}> and whether m is
+  in the span of w_1..w_{m-1}, from membership_table, against the closed
+  forms in semigroup_of_point and is_m_atom_point;
 * oracle_scan against check_formula, which reads dimension-1 lengths
   from lengths.length_table; the table in turn is checked value by value
   against the branch-and-bound search in
@@ -322,6 +325,22 @@ def m_factorization(m, x):
     return None
 
 
+def coordinate_atoms(m, x):
+    """(atoms, m_in_span): the minimal generators of [m, w_1, ..., w_{m-1}]
+    with w_a = x_a * m + a, and whether m lies in the span of w_1..w_{m-1}.
+
+    The generators are distinct and positive, so g is redundant iff
+    g = u + (g - u) with both parts nonzero members of the full span."""
+    w = [x[a] * m + a for a in range(1, m)]
+    gens = [m] + w
+    table = membership_table(gens, max(gens))
+    atoms = tuple(sorted(
+        g for g in gens
+        if not any(table[u] and table[g - u] for u in range(1, g))
+    ))
+    return atoms, membership_table(w, m)[m]
+
+
 def enumerate_kunz_points(m, cap=KUNZ_COORD_CAP):
     """All integer points with x_0 = 0 and coordinates in [0, cap]."""
     d = [
@@ -367,6 +386,8 @@ class ScanRecord:
     m_atom: bool
     m_atom_matches: bool
     face_key: tuple
+    atoms_match: bool = False
+    m_atom_matches_span: bool = False
     witness_matches: bool | None = None
     f_bijection: bool | None = None
     g_bijection: bool | None = None
@@ -403,6 +424,9 @@ def scan_one_point(args):
         m_atom_matches=m_atom == (m in S.atoms),
         face_key=(m, tuple(sorted(point.equality_set))),
     )
+    atoms, m_in_span = coordinate_atoms(m, coords)
+    record.atoms_match = S.atoms == atoms
+    record.m_atom_matches_span = m_atom != m_in_span
 
     rng = random.Random(repr((m, coords)))
     for _ in range(3):
@@ -458,13 +482,13 @@ def scan_one_point(args):
         record.g_bijection = False
 
     ok = True
-    items = point.min_inf
-    for f in items:
-        for g in items:
-            left = sq_leq(point, f.c, g.c)
-            ev_f = sum(ci * image[a] for ci, a in zip(f.c, point.atoms))
-            ev_g = sum(ci * image[a] for ci, a in zip(g.c, point.atoms))
-            if left != S.divides(ev_f, ev_g):
+    evaluated = [
+        (f.c, sum(ci * image[a] for ci, a in zip(f.c, point.atoms)))
+        for f in point.min_inf
+    ]
+    for c, ev_f in evaluated:
+        for c2, ev_g in evaluated:
+            if sq_leq(point, c, c2) != S.divides(ev_f, ev_g):
                 ok = False
     record.sq_matches_divides = ok
 

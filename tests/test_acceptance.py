@@ -272,6 +272,10 @@ def test_criterion_8_structural_suites(kunz_scan):
             failures.append(("reduced", r.m, r.coords))
         if not r.m_atom_matches:
             failures.append(("m-atom-vs-semigroup-atoms", r.m, r.coords))
+        if not r.atoms_match:
+            failures.append(("semigroup-atoms-vs-coordinates", r.m, r.coords))
+        if not r.m_atom_matches_span:
+            failures.append(("m-atom-vs-coordinate-span", r.m, r.coords))
         if not r.m_atom and r.witness_matches is not True:
             failures.append(("m-factorization-witness", r.m, r.coords))
         if not r.roundtrip:

@@ -9,6 +9,7 @@ from sgfl.errors import (
     BadModulusError,
     BudgetExceededError,
     DifferentFaceError,
+    DimensionMismatchError,
     InequalityViolatedError,
     MNotAtomAtPointError,
     MNotInSError,
@@ -38,7 +39,12 @@ from sgfl.minrepl import min_repl
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import check_formula
 
-from conftest import definitional_carry, enumerate_kunz_points, minimal_of
+from conftest import (
+    definitional_carry,
+    enumerate_kunz_points,
+    membership_table,
+    minimal_of,
+)
 
 FAMILY = [(0, 1, 2, 1, 2), (0, 11, 22, 32, 43), (0, 3, 6, 2, 5), (0, 3, 6, 8, 11)]
 
@@ -81,6 +87,28 @@ def test_semigroup_of_point(ctx5):
     for coords, atoms in expected.items():
         assert semigroup_of_point(ctx5, kunz_point(ctx5, list(coords))).atoms == atoms
     assert semigroup_of_point(ctx5, kunz_point(ctx5, [0, 0, 0, 0, 0])).atoms == (1,)
+
+
+def test_semigroup_of_point_is_closed_form_fast():
+    # The point of <400, 401> has 399 coordinate elements but one atom; the
+    # semigroup is read off the atoms, not reduced from every element.
+    m = 400
+    ctx = numerical_context(m)
+    point = kunz_point(ctx, list(range(m)))
+    started = time.perf_counter()
+    S = semigroup_of_point(ctx, point)
+    assert time.perf_counter() - started < 1.0
+    assert S == new_semigroup([400, 401])
+
+
+def test_point_over_another_modulus_is_refused(ctx5, base_point):
+    # The m = 5 point under m = 4 once gave <4, 5, 7>, under m = 6 an
+    # IndexError.
+    for m in (4, 6):
+        for build in (semigroup_of_point, poset_of_point):
+            with pytest.raises(BadModulusError):
+                build(numerical_context(m), base_point)
+    assert semigroup_of_point(numerical_context(5), base_point).atoms == (5, 6, 8)
 
 
 def test_point_validation(ctx5):
@@ -356,6 +384,54 @@ def test_sq_leq_matches_divisibility(ctx5):
         }
         for f, g in itertools.product(p.min_inf, repeat=2):
             assert sq_leq(p, f.c, g.c) == S.divides(values[f.c], values[g.c])
+
+
+def test_sq_leq_off_min_inf_matches_evaluation_difference():
+    """sq_leq on arbitrary vectors (lists, and pairs whose difference has
+    negative entries) against membership of the evaluation difference in
+    a table of the point's semigroup."""
+    rng = random.Random(11)
+    for m in (4, 5, 6):
+        ctx = numerical_context(m)
+        points = enumerate_kunz_points(m, cap=3)
+        for coords in rng.sample(points, 8):
+            p = kunz_point(ctx, coords)
+            images = [p.x[a] * m + a for a in p.atoms]
+            top = 4 * sum(images) + 1
+            member = membership_table(semigroup_of_point(ctx, p).atoms, top)
+            n = len(p.atoms)
+            for _ in range(40):
+                c = [rng.randint(0, 3) for _ in range(n)]
+                c2 = [rng.randint(0, 3) for _ in range(n)]
+                diff = sum((b - a) * w for a, b, w in zip(c, c2, images))
+                expected = diff >= 0 and member[diff]
+                assert sq_leq(p, c, c2) == expected
+                assert sq_leq(p, tuple(c), tuple(c2)) == expected
+                # One side on min_inf, the other not.
+                f = rng.choice(p.min_inf).c
+                ev_f = sum(a * w for a, w in zip(f, images))
+                diff = sum(a * w for a, w in zip(c2, images)) - ev_f
+                assert sq_leq(p, f, c2) == (diff >= 0 and member[diff])
+
+
+def test_wrong_length_vectors_are_refused(ctx5):
+    # zip once cut these short: sq_leq(p, (1,), (1, 0, 0, 0)) read True.
+    p = kunz_point(ctx5, [0, 1, 1, 1, 1])
+    assert len(p.atoms) == 4
+    for c, c2 in (((1,), (1, 0, 0, 0)), ((1, 0, 0, 0), [1, 0]),
+                  ((0, 0, 0, 0, 1), (0, 0, 0, 0))):
+        with pytest.raises(DimensionMismatchError):
+            sq_leq(p, c, c2)
+    for c, c2 in (((1,), (0, 0)), ((1, 1), (0,)), ((1, 1, 1), (0, 0, 0))):
+        with pytest.raises(DimensionMismatchError):
+            structure_constants(ctx5, c, c2, (1, 4))
+
+
+def test_non_int_residue_has_no_factorization(base_point):
+    # 1.0 in range(5) holds, and the tuple index then raised TypeError.
+    for beta in (1.0, "1", None, -1, 5):
+        with pytest.raises(NoFactorizationError):
+            pinfty_length_extremes(base_point, beta)
 
 
 def test_pseudomin(ctx5, base_point):
