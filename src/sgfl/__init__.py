@@ -33,7 +33,6 @@ from .errors import (
 from .kunz import (
     INFINITY,
     InfFactorization,
-    KunzContext,
     KunzInequality,
     KunzPoint,
     KunzVerdict,

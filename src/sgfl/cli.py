@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .budget import DEFAULT_BUDGET
 from .errors import SgflError
@@ -40,16 +39,6 @@ from .verdicts import (
 )
 
 SCHEMA = "sgfl/1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    budget: int = DEFAULT_BUDGET
-    output: str = "json"
-
-    def validate(self):
-        if self.budget <= 0:
-            raise SgflError("budget must be positive")
 
 
 # -- input grammar ----------------------------------------------------------
@@ -206,11 +195,11 @@ def _emit(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _envelope(command, config, result):
+def _envelope(command, args, result):
     return {
         "schema": SCHEMA,
         "command": command,
-        "config": {"budget": config.budget},
+        "config": {"budget": args.budget},
         "result": result,
     }
 
@@ -246,7 +235,7 @@ def _verdict_rows_pretty(rows):
 
 # -- subcommands ------------------------------------------------------------
 
-def _cmd_analyze(args, config):
+def _cmd_analyze(args):
     semigroups = []
     if args.file:
         with open(args.file) as handle:
@@ -270,9 +259,9 @@ def _cmd_analyze(args, config):
         for m in S.atoms:
             if not any(m in ms for ms in candidates.values()):
                 continue
-            report = min_repl(S, m, budget=config.budget)
+            report = min_repl(S, m, budget=args.budget)
             verdicts.extend(
-                check_formula(S, m, formula, budget=config.budget, report=report)
+                check_formula(S, m, formula, budget=args.budget, report=report)
                 for formula, ms in candidates.items()
                 if m in ms
             )
@@ -292,7 +281,7 @@ def _cmd_analyze(args, config):
             entry["elements"] = [
                 length_summary_json(
                     length_summary(
-                        S, parse_element(text, S.dim), budget=config.budget
+                        S, parse_element(text, S.dim), budget=args.budget
                     )
                 )
                 for text in args.element
@@ -301,34 +290,34 @@ def _cmd_analyze(args, config):
         rows.extend(verdict_json(v) for v in vs)
     all_hold = all(r["holds"] for r in rows)
     exit_code = 0 if (all_hold or not args.assert_holds) else 1
-    if config.output == "tsv":
+    if args.output == "tsv":
         return _verdict_rows_tsv(rows), exit_code
-    if config.output == "pretty":
+    if args.output == "pretty":
         return _verdict_rows_pretty(rows), exit_code
-    return _emit(_envelope("analyze", config, result)), exit_code
+    return _emit(_envelope("analyze", args, result)), exit_code
 
 
-def _cmd_minrepl(args, config):
-    if config.output == "tsv":
+def _cmd_minrepl(args):
+    if args.output == "tsv":
         raise SgflError("minrepl reports are not flat; use json or pretty")
     S = _semigroup(args.gens, args.dim)
     m = parse_element(args.m, S.dim)
-    report = candidate_sets(S, m, min_repl(S, m, budget=config.budget))
-    if config.output == "pretty":
+    report = candidate_sets(S, m, min_repl(S, m, budget=args.budget))
+    if args.output == "pretty":
         lines = [f"minimal replaceable vectors over {_jsonable(report.atom_index)}:"]
         for v in report.minimal_vectors:
             lines.append(f"  {_jsonable(v)} -> {_jsonable(report.evaluations[v])}")
         lines.append(f"M1={_jsonable(report.m1)} M2={_jsonable(report.m2)}")
         lines.append(f"N1={_jsonable(report.n1)} N2={_jsonable(report.n2)}")
         return "\n".join(lines) + "\n", 0
-    return _emit(_envelope("minrepl", config, minrepl_json(report))), 0
+    return _emit(_envelope("minrepl", args, minrepl_json(report))), 0
 
 
-def _cmd_verdict(args, config):
+def _cmd_verdict(args):
     S = _semigroup(args.gens, args.dim)
     m = parse_element(args.m, S.dim)
     if args.method == "embdim3":
-        verdict = embdim3_check(S, args.formula, budget=config.budget)
+        verdict = embdim3_check(S, args.formula, budget=args.budget)
     elif args.method == "oracle":
         verdict = oracle_scan(
             S,
@@ -337,25 +326,25 @@ def _cmd_verdict(args, config):
             bound=args.bound,
             allow_default=args.allow_default,
             all_counterexamples=args.all,
-            budget=config.budget,
+            budget=args.budget,
         )
     else:
-        verdict = check_formula(S, m, args.formula, budget=config.budget)
+        verdict = check_formula(S, m, args.formula, budget=args.budget)
     exit_code = 0 if (verdict.holds or not args.assert_holds) else 1
     row = verdict_json(verdict)
-    if config.output == "tsv":
+    if args.output == "tsv":
         return _verdict_rows_tsv([row]), exit_code
-    if config.output == "pretty":
+    if args.output == "pretty":
         return _verdict_rows_pretty([row]), exit_code
-    return _emit(_envelope("verdict", config, row)), exit_code
+    return _emit(_envelope("verdict", args, row)), exit_code
 
 
-def _cmd_kunz(args, config):
-    if config.output != "json":
+def _cmd_kunz(args):
+    if args.output != "json":
         raise SgflError("kunz reports are not flat; use json output")
-    ctx = numerical_context(args.m)
-    point = kunz_point(ctx, _ints(args.x), budget=config.budget)
-    S = semigroup_of_point(ctx, point)
+    m = numerical_context(args.m)
+    point = kunz_point(m, _ints(args.x), budget=args.budget)
+    S = semigroup_of_point(m, point)
     mine = pseudomin(point)
     result = {
         "m": args.m,
@@ -375,17 +364,17 @@ def _cmd_kunz(args, config):
         if args.assert_holds and not v.holds:
             exit_code = 1
     if args.cominimal:
-        other = kunz_point(ctx, _ints(args.cominimal), budget=config.budget)
+        other = kunz_point(m, _ints(args.cominimal), budget=args.budget)
         require_same_face(point, other)  # kunz.cominimal, reusing mine
         theirs = pseudomin(other)
         result["cominimal"] = {f.c for f in mine} == {f.c for f in theirs}
-    return _emit(_envelope("kunz", config, result)), exit_code
+    return _emit(_envelope("kunz", args, result)), exit_code
 
 
-def _cmd_paper_examples(args, config):
-    if config.output == "tsv":
+def _cmd_paper_examples(args):
+    if args.output == "tsv":
         raise SgflError("example reports are not flat; use json or pretty")
-    rows = run_rows(budget=config.budget)
+    rows = run_rows(budget=args.budget)
     result = [
         {
             "id": r.id,
@@ -401,7 +390,7 @@ def _cmd_paper_examples(args, config):
         exit_code = 1
     else:
         exit_code = 0
-    if config.output == "pretty":
+    if args.output == "pretty":
         lines = [f"{r.id}: {r.status.upper()}" for r in rows]
         counts = (
             f"{sum(r.status == 'pass' for r in rows)} passed, "
@@ -409,7 +398,7 @@ def _cmd_paper_examples(args, config):
             f"{sum(r.status == 'error' for r in rows)} errored"
         )
         return "\n".join(lines + [counts]) + "\n", exit_code
-    return _emit(_envelope("paper-examples", config, result)), exit_code
+    return _emit(_envelope("paper-examples", args, result)), exit_code
 
 
 def _add_run_options(parser, suppress=False):
@@ -499,12 +488,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        budget = args.budget
-        if budget is None:
-            budget = _int(os.environ.get("SGFL_BUDGET", str(DEFAULT_BUDGET)))
-        config = RunConfig(budget=budget, output=args.output)
-        config.validate()
-        text, exit_code = args.func(args, config)
+        if args.budget is None:
+            args.budget = _int(os.environ.get("SGFL_BUDGET", str(DEFAULT_BUDGET)))
+        if args.budget <= 0:
+            raise SgflError("budget must be positive")
+        text, exit_code = args.func(args)
     except SgflError as exc:
         sys.stderr.write(
             json.dumps(

@@ -65,7 +65,7 @@ class MissingBoundError(SgflError):
 
 class BadModulusError(SgflError):
     """Quotient moduli must be integers >= 2, and a point must live over
-    the modulus of the context it is used with."""
+    the modulus it is used with."""
 
 
 class NotIntegerPointError(SgflError):

@@ -11,8 +11,8 @@ shift-by-m length formulas are then decided by linear inequalities in the
 coordinates alone.
 
 With canonical representatives r_a = a, every structure constant is a
-floor division of the residue sum rs(c) = sum c_a * a by m, so the context
-object carries the modulus alone.
+floor division of the residue sum rs(c) = sum c_a * a by m, so every entry
+point takes the modulus as the int m, checked by numerical_context.
 """
 
 from __future__ import annotations
@@ -36,17 +36,11 @@ from .verdicts import Formula, _as_formula
 INFINITY = None  # the absorbing element of the extended quotient semigroup
 
 
-@dataclass(frozen=True)
-class KunzContext:
-    """Cyclic quotient Z/mZ with canonical representatives r_a = a."""
-
-    m: int
-
-
 def numerical_context(m):
+    """The modulus m of Z/mZ, returned as is once it is an int >= 2."""
     if not isinstance(m, int) or m < 2:
         raise BadModulusError(f"modulus must be an integer >= 2, got {m!r}")
-    return KunzContext(m=m)
+    return m
 
 
 def _require_length(counts, n):
@@ -104,7 +98,7 @@ class KunzPoint:
     determined by the fields above, so it is kept out of eq, hash and repr.
     """
 
-    context: KunzContext
+    m: int
     x: tuple
     equality_set: frozenset
     relations: frozenset
@@ -115,10 +109,6 @@ class KunzPoint:
     length_extremes: tuple
     evaluations: dict = field(compare=False, repr=False)
 
-    @property
-    def m(self):
-        return self.context.m
-
     def oplus(self, a, b):
         if a is INFINITY or b is INFINITY:
             return INFINITY
@@ -128,17 +118,18 @@ class KunzPoint:
         return (a, b) in self.relations
 
 
-def kunz_point(ctx, coords, budget=None):
-    """Validate coordinates and build the point with its derived data.
+def kunz_point(m, coords, budget=None):
+    """Validate m and the coordinates and build the point with its data.
 
-    Raises NotIntegerPoint for malformed input and InequalityViolated with
-    the offending residue pair otherwise.  The coordinate indexed by 0 is
-    kept and must be 0: with canonical representatives, 0 is always the
-    least semigroup element in residue class 0, so no numerical semigroup
-    corresponds to a point with x_0 > 0.  The budget is charged one node
-    per residue pair of the order tables and then spent by the atom walk.
+    Raises BadModulusError for a bad m, NotIntegerPoint for malformed
+    coordinates and InequalityViolated with the offending residue pair
+    otherwise.  The coordinate indexed by 0 is kept and must be 0: with
+    canonical representatives, 0 is always the least semigroup element in
+    residue class 0, so no numerical semigroup corresponds to a point with
+    x_0 > 0.  The budget is charged one node per residue pair of the order
+    tables and then spent by the atom walk.
     """
-    m = ctx.m
+    m = numerical_context(m)
     x = tuple(coords)
     if len(x) != m or not all(isinstance(c, int) for c in x):
         raise NotIntegerPointError(
@@ -192,7 +183,7 @@ def kunz_point(ctx, coords, budget=None):
     evaluations = {f.c: sum(map(mul, f.c, images)) for f in min_inf}
 
     return KunzPoint(
-        context=ctx,
+        m=m,
         x=x,
         equality_set=frozenset(tight),
         relations=relations,
@@ -296,28 +287,26 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
 
 # -- the point <-> semigroup correspondence -------------------------------
 
-def point_of_semigroup(ctx, S, budget=None):
+def point_of_semigroup(m, S, budget=None):
     """The Kunz coordinates of a numerical semigroup containing m."""
-    apery = S.apery_set(ctx.m)  # raises for non-numerical S or m outside S
+    m = numerical_context(m)
+    apery = S.apery_set(m)  # raises for non-numerical S or m outside S
     return kunz_point(
-        ctx, [(least - a) // ctx.m for a, least in enumerate(apery)],
-        budget=budget,
+        m, [(least - a) // m for a, least in enumerate(apery)], budget=budget
     )
 
 
-def _point_over(ctx, point, budget):
-    """point as a KunzPoint over ctx; raw coordinates are built with the
-    budget, and a built point over another modulus is refused."""
+def _point_over(m, point, budget):
+    """point as a KunzPoint over the modulus m; raw coordinates are built
+    with the budget, and a built point over another modulus is refused."""
     if not isinstance(point, KunzPoint):
-        return kunz_point(ctx, point, budget=budget)
-    if point.m != ctx.m:
-        raise BadModulusError(
-            f"the point lives over m = {point.m}, the context over m = {ctx.m}"
-        )
+        return kunz_point(m, point, budget=budget)
+    if point.m != numerical_context(m):
+        raise BadModulusError(f"the point lives over m = {point.m}, not over m = {m}")
     return point
 
 
-def semigroup_of_point(ctx, point, budget=None):
+def semigroup_of_point(m, point, budget=None):
     """The numerical semigroup generated by m and the coordinate elements.
 
     Its atoms are the images w_a = m * x_a + a of the point's atoms a, and
@@ -327,16 +316,16 @@ def semigroup_of_point(ctx, point, budget=None):
     composite at the point.  new_semigroup still confirms every atom.
     The budget is spent by kunz_point when point is raw coordinates.
     """
-    point = _point_over(ctx, point, budget)
-    gens = _images(ctx.m, point.x, point.atoms)
+    point = _point_over(m, point, budget)
+    gens = _images(point.m, point.x, point.atoms)
     if _m_atom_violation(point) is None:
-        gens.append(ctx.m)
+        gens.append(point.m)
     return new_semigroup(gens)
 
 
-def poset_of_point(ctx, point, budget=None):
+def poset_of_point(m, point, budget=None):
     """All order relations a <= b (reflexive closure included)."""
-    return _point_over(ctx, point, budget).relations
+    return _point_over(m, point, budget).relations
 
 
 def oplus(point, a, b):
@@ -365,17 +354,15 @@ def pinfty_length_extremes(point, beta):
     return extremes
 
 
-def structure_constants(ctx, counts, counts2, support):
-    """(d_{(c)}, b_{(c),(c')}) for vectors over the given residue support.
+def structure_constants(m, counts, counts2, support):
+    """(d_{(c)}, b_{(c),(c')}) for vectors over a residue support of Z/mZ.
 
     Each vector needs one count per residue of the support.
     """
+    m = numerical_context(m)
     _require_length(counts, len(support))
     _require_length(counts2, len(support))
-    return (
-        _carry(ctx.m, counts, support)[0],
-        _threshold(ctx.m, counts, counts2, support),
-    )
+    return _carry(m, counts, support)[0], _threshold(m, counts, counts2, support)
 
 
 def _evaluation(point, counts):
@@ -406,7 +393,7 @@ def sq_leq(point, c, c2):
         diff = evaluations[c2] - evaluations[c]
     except (KeyError, TypeError):  # not in min_inf, or a list
         diff = _evaluation(point, c2) - _evaluation(point, c)
-    q, r = divmod(diff, point.context.m)  # _point_contains, inlined: hot path
+    q, r = divmod(diff, point.m)  # _point_contains, inlined: hot path
     return q >= point.x[r]
 
 
@@ -432,7 +419,7 @@ def pseudomin(point):
 
 def require_same_face(point, other):
     """DifferentFaceError unless both points lie on one face interior."""
-    if point.context.m != other.context.m:
+    if point.m != other.m:
         raise DifferentFaceError("points live over different moduli")
     if point.equality_set != other.equality_set:
         raise DifferentFaceError(

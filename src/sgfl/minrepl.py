@@ -97,6 +97,17 @@ def _atom_data(S, m):
     return mi, c_atoms
 
 
+def _require_report_for(S, m, report):
+    """ReportMismatchError unless report was made by min_repl(S, m)."""
+    mi, c_atoms = _atom_data(S, m)
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
+    expected_index = tuple([_as_element(a, S.dim) for a in c_atoms])
+    if report.m != S.element(m) or report.atom_index != expected_index:
+        raise ReportMismatchError(
+            "report was produced for a different semigroup or atom"
+        )
+
+
 def evaluate(S, c_atoms, vec):
     """Value of a multiplicity vector over the given atom list."""
     total = [0] * S.dim
@@ -310,14 +321,8 @@ def candidate_sets(S, m, report):
     (see the verdict module) keep every evaluation with a qualifying
     witness.
     """
-    mi, c_atoms = _atom_data(S, m)
+    _require_report_for(S, m, report)
     m = S.element(m)
-    # From a list: tuple(genexpr) resizes, which fills the free lists.
-    expected_index = tuple([_as_element(a, S.dim) for a in c_atoms])
-    if report.m != m or report.atom_index != expected_index:
-        raise ReportMismatchError(
-            "report was produced for a different semigroup or atom"
-        )
     by_value = report.by_value()
     values = sorted(by_value, key=_element_sort_key)
     minimal_values = [

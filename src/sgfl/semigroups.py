@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable
 from math import gcd
 
 from .errors import (
@@ -33,7 +34,10 @@ def _as_vector(value, dim):
                 f"scalar element given for a dimension-{dim} semigroup"
             )
         return (value,)
-    vec = tuple(value)
+    try:
+        vec = tuple(value)
+    except TypeError:
+        raise DimensionMismatchError(f"element {value!r} is not an int or a vector")
     if len(vec) != dim:
         raise DimensionMismatchError(
             f"element {vec} has length {len(vec)}, expected {dim}"
@@ -369,7 +373,8 @@ def new_semigroup(generators, dim=None):
         raise SgflError("generator list must be nonempty")
     if dim is None:
         first = generators[0]
-        dim = 1 if isinstance(first, int) else len(tuple(first))
+        # A non-int scalar counts as dimension 1, where _as_vector refuses it.
+        dim = len(tuple(first)) if isinstance(first, Iterable) else 1
     if dim < 1:
         raise DimensionMismatchError("dimension must be at least 1")
     vecs = [_as_vector(g, dim) for g in generators]

@@ -36,7 +36,8 @@ from .errors import (
     SgflError,
 )
 from .lengths import length_table, longest_length, shortest_length
-from .minrepl import _element_sort_key, is_left_zero, is_right_zero, min_repl
+from .minrepl import _element_sort_key, _require_report_for, min_repl
+from .minrepl import is_left_zero, is_right_zero
 
 
 class Formula(enum.Enum):
@@ -47,7 +48,10 @@ class Formula(enum.Enum):
 def _as_formula(formula):
     if isinstance(formula, Formula):
         return formula
-    return Formula(str(formula).lower())
+    try:
+        return Formula(str(formula).lower())
+    except ValueError:
+        raise SgflError(f"formula must be longest or shortest, got {formula!r}")
 
 
 class Check(NamedTuple):
@@ -164,13 +168,16 @@ def check_formula(S, m, formula, budget=None, report=None):
     """Decide the formula from the finite check set of (S, m).
 
     A report from min_repl can be passed in to share the solver work
-    between the two formulas; only its minimal vectors are consulted.
+    between the two formulas; only its minimal vectors are consulted, and
+    a report made for another semigroup or atom is refused.
     In dimension 1 every target and its shift s - m are read from one
     length table up to the largest target.
     """
     formula = _as_formula(formula)
     if report is None:
         report = min_repl(S, m, budget=budget)
+    else:
+        _require_report_for(S, m, report)
     targets = sorted(_check_targets(S, m, formula, report), key=_element_sort_key)
     m_elt = S.element(m)
     upto = targets[-1] if targets and S.dim == 1 else 0
@@ -277,7 +284,7 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
     verdict is exact iff the bound reaches it.  Affine: the scan covers
     grading values up to the bound (which must be given explicitly unless
     allow_default permits the default of 120) and the verdict is evidence
-    only (exact=False).  A negative bound is an error.
+    only (exact=False).  A bound that is not a nonnegative int is an error.
     Lengths come from a dynamic program, independent of the factorization
     search used elsewhere.  Unless all_counterexamples is set, the scan
     stops at the first failure.  The numerical scan fills its lengths in
@@ -290,8 +297,8 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
     if S.generator_index(m) is None:
         raise MNotAtomError(f"{m} is not a generator of {S!r}")
     m_elt = S.element(m)
-    if bound is not None and bound < 0:
-        raise SgflError(f"scan bound must be nonnegative, got {bound}")
+    if bound is not None and (not isinstance(bound, int) or bound < 0):
+        raise SgflError(f"scan bound must be a nonnegative integer, got {bound!r}")
 
     if S.is_numerical:
         exact_bound = default_scan_bound(S, formula)

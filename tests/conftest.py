@@ -505,7 +505,7 @@ def scan_one_point(args):
 
 @pytest.fixture(scope="session")
 def kunz_scan():
-    """Every valid point for m in 3..7 with coordinates <= 8, fully checked."""
+    """Every valid point for m in 2..7 with coordinates <= 8, fully checked."""
     jobs = []
     for m in KUNZ_MODULI:
         jobs.extend((m, coords) for coords in enumerate_kunz_points(m))
