@@ -1,4 +1,12 @@
-"""Node budgets for searches that can blow up on oversized instances."""
+"""Node budgets for searches that can blow up on oversized instances.
+
+A budget is a positive int.  Where a search keeps a table, the budget
+bounds its memory too.  The numerical oracle_scan is charged one node per
+value 0..bound+m and keeps one list slot (8 bytes) per value for its
+lengths and one array slot (8 bytes) per checked value: at most 24 bytes
+per check with the lists' growth slack, while every length is at most
+256.  A length above 256 is an int object of its own and adds 32 bytes.
+"""
 
 from .errors import BudgetExceededError, SgflError
 
@@ -13,6 +21,8 @@ class BudgetMeter:
     def __init__(self, budget=None):
         if budget is None:
             budget = DEFAULT_BUDGET
+        elif isinstance(budget, bool) or not isinstance(budget, int):
+            raise SgflError(f"budget must be a positive integer, got {budget!r}")
         if budget <= 0:
             raise SgflError("budget must be positive")
         self.allowance = budget

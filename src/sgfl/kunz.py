@@ -29,6 +29,7 @@ from .errors import (
     MNotAtomAtPointError,
     NoFactorizationError,
     NotIntegerPointError,
+    SgflError,
 )
 from .semigroups import new_semigroup
 from .verdicts import Formula, _as_formula
@@ -130,8 +131,11 @@ def kunz_point(m, coords, budget=None):
     tables and then spent by the atom walk.
     """
     m = numerical_context(m)
-    x = tuple(coords)
-    if len(x) != m or not all(isinstance(c, int) for c in x):
+    try:
+        x = tuple(coords)
+    except TypeError:
+        x = None
+    if x is None or len(x) != m or not all(isinstance(c, int) for c in x):
         raise NotIntegerPointError(
             f"expected {m} integer coordinates, got {coords!r}"
         )
@@ -417,8 +421,16 @@ def pseudomin(point):
     return tuple(f for f in point.min_inf if ev[f.c] in kept)
 
 
+def _require_point(point):
+    """SgflError unless point is a built KunzPoint."""
+    if not isinstance(point, KunzPoint):
+        raise SgflError(f"expected a KunzPoint, got {point!r}")
+
+
 def require_same_face(point, other):
     """DifferentFaceError unless both points lie on one face interior."""
+    _require_point(point)
+    _require_point(other)
     if point.m != other.m:
         raise DifferentFaceError("points live over different moduli")
     if point.equality_set != other.equality_set:
@@ -530,6 +542,7 @@ def main_verdict(point, formula):
     atom, MNotAtomAtPointError carries the first factorization of m.
     """
     formula = _as_formula(formula)
+    _require_point(point)
     witness = _m_atom_violation(point)
     if witness is not None:
         raise MNotAtomAtPointError(

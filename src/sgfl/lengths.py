@@ -13,6 +13,7 @@ affine elements by branch and bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .budget import BudgetMeter
 from .errors import MNotAtomError, NotInSemigroupError, NotNumericalError
@@ -127,26 +128,36 @@ def length_table(S, upto, maximize, budget=None):
 
     Dimension 1 only.  Every factorization of v > 0 ends in some atom g,
     so L(v) = max_g L(v - g) + 1 and l(v) = min_g l(v - g) + 1 over the
-    atoms g <= v with v - g in S.  Atoms above upto never occur, so the
-    table holds at most 2 * upto + 1 entries whatever the largest atom.
-    One budget node per entry of 0..upto, charged before the table is
+    atoms g <= v with v - g in S.  Every atom is at least 1, so entry v
+    reads only entries below it, and the whole table is one map over
+    lagged readers of the list it extends: the reader of atom g yields
+    entry v - g while entry v is appended.  Values outside S hold a
+    sentinel outside 0..upto during the fill (below it when maximizing,
+    above it otherwise); one step moves it by 1, never into that range,
+    where every length lies.  Atoms above upto never occur, so the table
+    holds at most 2 * upto + 1 entries whatever the largest atom.  One
+    budget node per entry of 0..upto, charged before the table is
     allocated.
     """
     if S.dim != 1:
         raise NotNumericalError("length tables are dimension-1 only")
     BudgetMeter(budget).spend(upto + 1)
     gens = [g for g in S.atoms if g <= upto]
+    if not gens:
+        return [0] + [None] * upto
     pick = max if maximize else min
-    missing = -1 if maximize else upto + 1  # worse than any length in range
-    pad = max(gens, default=0)  # leading non-members: v - g stays in the list
+    missing = -upto - 1 if maximize else upto + 1
+    pad = gens[-1]  # leading non-members: v - g stays in the list
     table = [missing] * pad + [0]
-    for i in range(pad + 1, pad + upto + 1):
-        best = pick([table[i - g] for g in gens], default=missing)
-        table.append(missing if best == missing else best + 1)
+    # A list iterator reads by index, so each reader sees the entries that
+    # extend appends after it; repeat ends the fill after upto entries and
+    # gives pick a second argument when a single atom is in range.
+    readers = [islice(table, pad + 1 - g, None) for g in gens]
+    table.extend(map((1).__add__, map(pick, repeat(missing, upto), *readers)))
     # In place, so the table is the only list of its size at any time.
     del table[:pad]
     for v, x in enumerate(table):
-        if x == missing:
+        if not 0 <= x <= upto:
             table[v] = None
     return table
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from operator import le
 
 from .budget import BudgetMeter
-from .errors import MNotAtomError, ReportMismatchError
+from .errors import DimensionMismatchError, MNotAtomError, ReportMismatchError
 from .semigroups import _as_element, _dot, _sub
 
 
@@ -122,7 +122,7 @@ def repl_contains(S, m, c):
     mi, c_atoms = _atom_data(S, m)
     vec = tuple(c)
     if len(vec) != len(c_atoms):
-        raise ReportMismatchError(
+        raise DimensionMismatchError(
             f"vector has {len(vec)} coordinates, expected {len(c_atoms)}"
         )
     m_vec = S.vector(m)

@@ -368,15 +368,18 @@ def new_semigroup(generators, dim=None):
     confirmed to be an atom; otherwise NotMinimal reports a witness
     combination over the other generators.
     """
-    generators = list(generators)
+    try:
+        generators = list(generators)
+    except TypeError:
+        raise SgflError(f"generators must be a list of elements, got {generators!r}")
     if not generators:
         raise SgflError("generator list must be nonempty")
     if dim is None:
         first = generators[0]
         # A non-int scalar counts as dimension 1, where _as_vector refuses it.
         dim = len(tuple(first)) if isinstance(first, Iterable) else 1
-    if dim < 1:
-        raise DimensionMismatchError("dimension must be at least 1")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise DimensionMismatchError(f"dimension must be an integer >= 1, got {dim!r}")
     vecs = [_as_vector(g, dim) for g in generators]
     zero = (0,) * dim
     if any(v == zero for v in vecs):

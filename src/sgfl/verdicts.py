@@ -15,15 +15,21 @@ shortest-length analogue):
   Verdict is flagged exact=False.  The budget is charged one node per
   value of the numerical range, or per element of the affine table.
 
-Each evaluated instance is a Check, a NamedTuple: the numerical scan makes
-one per value it checks, so the record is kept as light as a tuple.
+Each evaluated instance is a Check.  The numerical scan stores no Check:
+it keeps the values it checked in an array and its lengths in one list,
+and its Verdict.checked is a read-only sequence that builds each Check
+when it is read.  Every other route keeps a tuple of Check records.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq
 from typing import NamedTuple
 
 from .budget import BudgetMeter
@@ -57,11 +63,11 @@ def _as_formula(formula):
 class Check(NamedTuple):
     """One evaluated instance: value = L(s) (or l(s)), shifted = L(s-m)+1.
 
-    A NamedTuple, not a frozen dataclass, because oracle_scan builds one per
-    scanned value: a tuple subclass is built in one call, where a frozen
-    dataclass sets each field through object.__setattr__, and the record
-    stays immutable and hashable.  Being a tuple, a Check also compares
-    equal to the plain triple (element, value, shifted).
+    A NamedTuple, not a frozen dataclass: the checks of a numerical scan
+    are built as they are read, and a tuple subclass is built in one C
+    call, where a frozen dataclass sets each field through
+    object.__setattr__.  The record is immutable and hashable, and being a
+    tuple it compares equal to the plain triple (element, value, shifted).
     """
 
     element: object
@@ -73,12 +79,60 @@ class Check(NamedTuple):
         return self.value == self.shifted
 
 
+# Builds Check(v, value, shifted) from a triple in C, without the
+# Python-level __new__ of a NamedTuple call.
+_new_check = functools.partial(tuple.__new__, Check)
+
+
+class _ScanChecks(Sequence):
+    """The checks of a numerical scan, built from its lengths when read.
+
+    elements holds the checked values in order and best[v] is L(v) (or
+    l(v)) of every value up to the last one, so the check at v is
+    (v, best[v], best[v - m] + 1).  Slices are tuples, and the sequence
+    compares equal to and hashes like the tuple of its checks.
+    """
+
+    __slots__ = ("_elements", "_best", "_m")
+
+    def __init__(self, elements, best, m):
+        self._elements = elements
+        self._best = best
+        self._m = m
+
+    def __len__(self):
+        return len(self._elements)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._checks(self._elements[index]))
+        return next(self._checks((self._elements[index],)))
+
+    def __iter__(self):
+        return self._checks(self._elements)
+
+    def _checks(self, elements):
+        best, m = self._best, self._m
+        return (_new_check((v, best[v], best[v - m] + 1)) for v in elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _ScanChecks)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Verdict:
     formula: Formula
     m: object
     holds: bool
-    checked: tuple
+    checked: Sequence  # a tuple, or _ScanChecks for a numerical scan
     counterexamples: tuple
     method: str
     exact: bool = True
@@ -290,14 +344,18 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
     stops at the first failure.  The numerical scan fills its lengths in
     the same loop that checks them, so it computes L (or l) only up to
     the last value it checks; it charges the budget one node per value
-    0..bound+m before it starts.  The affine scan charges one node per
+    0..bound+m before it starts.  Its Verdict.checked is a read-only
+    sequence over the checked values and those lengths (see budget.py for
+    the bytes it keeps per value).  The affine scan charges one node per
     element its table adds.
     """
     formula = _as_formula(formula)
     if S.generator_index(m) is None:
         raise MNotAtomError(f"{m} is not a generator of {S!r}")
     m_elt = S.element(m)
-    if bound is not None and (not isinstance(bound, int) or bound < 0):
+    if bound is not None and (
+        not isinstance(bound, int) or isinstance(bound, bool) or bound < 0
+    ):
         raise SgflError(f"scan bound must be a nonnegative integer, got {bound!r}")
 
     if S.is_numerical:
@@ -305,33 +363,32 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         if bound is None:
             bound = exact_bound
         exact = bound >= exact_bound
-        BudgetMeter(budget).spend(bound + m_elt + 1)
-        gens = [g[0] for g in S.generators]
-        maximize = formula is Formula.LONGEST
-        # Builds Check(v, value, shifted) in C, without the Python-level
-        # __new__ that a NamedTuple call runs once per scanned value.
-        new_check = functools.partial(tuple.__new__, Check)
-        best = [0]  # L (or l) of 0..v; None marks non-members
-        checked = []
+        top = bound + m_elt
+        BudgetMeter(budget).spend(top + 1)
+        pick = max if formula is Formula.LONGEST else min
+        # Non-members hold a sentinel outside 0..top, where every length
+        # lies; one step moves it by 1, never into that range.
+        missing = -top - 1 if formula is Formula.LONGEST else top + 1
+        pad = S.atoms[-1]  # leading non-members: v - g stays in the list
+        best = [missing] * pad + [0]  # best[pad + v] = L(v) (or l(v))
+        # Lagged readers of the growing list: a list iterator reads by
+        # index, so it sees the entries appended after it was made.
+        below = zip(*[islice(best, pad + 1 - g, None) for g in S.atoms])
+        shifts = islice(best, pad + 1 - m_elt, None)
+        elements = array("q")
         counterexamples = []
-        for v in range(1, bound + m_elt + 1):
-            cur = None
-            for g in gens:
-                if v >= g and best[v - g] is not None:
-                    cand = best[v - g] + 1
-                    if cur is None or (cand > cur if maximize else cand < cur):
-                        cur = cand
+        for v, prev, cands in zip(range(1, top + 1), shifts, below):
+            cur = pick(cands) + 1
             best.append(cur)
-            prev = best[v - m_elt] if v >= m_elt else None
-            if prev is None:
+            if not 0 <= prev <= top:
                 continue
-            shifted = prev + 1
-            check = new_check((v, cur, shifted))
-            checked.append(check)
-            if cur != shifted:
-                counterexamples.append(check)
+            elements.append(v)
+            if cur != prev + 1:
+                counterexamples.append(Check(v, cur, prev + 1))
                 if not all_counterexamples:
                     break
+        del best[:pad]
+        checked = _ScanChecks(elements, best, m_elt)
     else:
         if bound is None:
             if not allow_default:
@@ -353,12 +410,13 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
                 counterexamples.append(check)
                 if not all_counterexamples:
                     break
+        checked = tuple(checked)
     counterexamples.sort(key=lambda c: _element_sort_key(c.element))
     return Verdict(
         formula=formula,
         m=m_elt,
         holds=not counterexamples,
-        checked=tuple(checked),
+        checked=checked,
         counterexamples=tuple(counterexamples),
         method="oracle",
         exact=exact,

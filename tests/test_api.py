@@ -6,11 +6,14 @@ import pytest
 import sgfl
 from sgfl import (
     BadModulusError,
+    BudgetMeter,
     DimensionMismatchError,
+    NotIntegerPointError,
     ReportMismatchError,
     SgflError,
     candidate_atoms,
     check_formula,
+    cominimal,
     default_scan_bound,
     embdim3_check,
     kunz_point,
@@ -20,13 +23,15 @@ from sgfl import (
     oracle_scan,
     point_of_semigroup,
     poset_of_point,
+    repl_contains,
     semigroup_of_point,
     structure_constants,
 )
 
 # A change to this list is a change to the public API; record it in
 # CHANGES.md.  KunzContext left it when the Kunz entry points began to
-# take the int modulus.
+# take the int modulus, and the seven submodules when __all__ stopped
+# being built from dir().
 PUBLIC_NAMES = [
     "BadModulusError", "BudgetExceededError", "BudgetMeter", "Check",
     "DEFAULT_BUDGET", "DifferentFaceError", "DimensionMismatchError",
@@ -36,18 +41,17 @@ PUBLIC_NAMES = [
     "MissingBoundError", "NoFactorizationError", "NotEmbDim3Error",
     "NotInSemigroupError", "NotIntegerPointError", "NotMinimalError",
     "NotNumericalError", "NotPointedError", "ReportMismatchError",
-    "SemigroupPresentation", "SgflError", "Verdict", "apery_set", "budget",
+    "SemigroupPresentation", "SgflError", "Verdict", "apery_set",
     "candidate_atoms", "candidate_sets", "check_formula", "cominimal",
-    "contains", "default_scan_bound", "divides", "embdim3_check", "errors",
+    "contains", "default_scan_bound", "divides", "embdim3_check",
     "factorizations", "frobenius", "is_left_zero", "is_m_atom_point",
-    "is_reduced_point", "is_right_zero", "kunz", "kunz_point",
-    "length_summary", "lengths", "longest_length", "main_verdict",
+    "is_reduced_point", "is_right_zero", "kunz_point",
+    "length_summary", "longest_length", "main_verdict",
     "min_inf_factorizations", "min_repl", "minimal_generating_subset",
-    "minrepl", "new_semigroup", "numerical_context", "oplus", "oracle_scan",
+    "new_semigroup", "numerical_context", "oplus", "oracle_scan",
     "pinfty_atoms", "pinfty_length_extremes", "point_of_semigroup",
     "poset_of_point", "pseudomin", "repl_contains", "semigroup_of_point",
-    "semigroups", "shortest_length", "sq_leq", "structure_constants",
-    "verdicts",
+    "shortest_length", "sq_leq", "structure_constants",
 ]
 
 
@@ -104,6 +108,26 @@ MALFORMED = {
         lambda: semigroup_of_point(5.0, kunz_point(5, M5_POINT))),
     "poset_of_point-m-0": (
         BadModulusError, lambda: poset_of_point(0, M5_POINT)),
+    "BudgetMeter-float": (SgflError, lambda: BudgetMeter(1.5)),
+    "BudgetMeter-bool": (SgflError, lambda: BudgetMeter(True)),
+    "BudgetMeter-str": (SgflError, lambda: BudgetMeter("x")),
+    "check_formula-float-budget": (
+        SgflError, lambda: check_formula(CHICKEN, 10, "longest", budget=1.5)),
+    "oracle_scan-bool-bound": (
+        SgflError, lambda: oracle_scan(CHICKEN, 10, "longest", bound=True)),
+    "new_semigroup-str-dim": (
+        DimensionMismatchError, lambda: new_semigroup([2, 3], dim="a")),
+    "new_semigroup-bool-dim": (
+        DimensionMismatchError, lambda: new_semigroup([2, 3], dim=True)),
+    "new_semigroup-not-a-list": (SgflError, lambda: new_semigroup(5)),
+    "kunz_point-coords-None": (
+        NotIntegerPointError, lambda: kunz_point(5, None)),
+    "main_verdict-raw-coordinates": (
+        SgflError, lambda: main_verdict(M5_POINT, "longest")),
+    "cominimal-int-point": (
+        SgflError, lambda: cominimal(kunz_point(5, M5_POINT), 5)),
+    "repl_contains-short-vector": (
+        DimensionMismatchError, lambda: repl_contains(CHICKEN, 10, (1, 2))),
 }
 
 

@@ -7,6 +7,7 @@ from conftest import (
     build_corpus,
     enumerate_factorizations_box,
     enumerate_kunz_points,
+    length_dp,
 )
 from sgfl.errors import (
     BudgetExceededError,
@@ -216,3 +217,17 @@ def test_length_table_keeps_one_list_at_peak():
     assert len(table) == upto + 1
     assert (table[0], table[199], table[400], table[403]) == (0, None, 2, 2)
     assert peak < 2 * 8 * (upto + 1)
+
+
+@pytest.mark.parametrize(
+    "gens", [[1], [2, 3], [2, 7], [3, 5, 7], [3, 10, 11], [5, 6, 13, 14]]
+)
+def test_length_table_matches_the_coin_change_dp(gens):
+    # n1 = 1, 2 and 3 give one, two and three values per atom step; the
+    # small bounds leave every atom, or all but the smallest, above upto.
+    S = new_semigroup(gens)
+    for maximize in (True, False):
+        for upto in [*range(4 * gens[-1]), 1000]:
+            assert length_table(S, upto, maximize) == length_dp(
+                S.atoms, upto, maximize
+            ), (gens, upto, maximize)

@@ -9,7 +9,9 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import length_dp
 from sgfl.errors import NotMinimalError
+from sgfl.lengths import length_table
 from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import candidate_atoms, check_formula, oracle_scan
 
@@ -55,3 +57,10 @@ def test_int_and_tuple_membership_agree(gens):
     S = new_semigroup(gens)
     for n in range(3 * max(gens) + 1):
         assert S.contains(n) == S.contains((n,)), (gens, n)
+
+
+@PROPERTY_SETTINGS
+@given(numerical_generators(), st.integers(0, 250), st.booleans())
+def test_length_table_matches_the_coin_change_dp(gens, upto, maximize):
+    S = new_semigroup(gens)
+    assert length_table(S, upto, maximize) == length_dp(gens, upto, maximize)

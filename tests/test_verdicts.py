@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -273,6 +274,51 @@ def test_oracle_scan_matches_a_full_length_table(corpus):
             )
             failed += not verdict.holds
     assert failed > 0  # early exits are exercised
+
+
+def test_numerical_scan_checks_read_like_a_tuple(chicken):
+    verdict = oracle_scan(chicken, 10, "longest", bound=200,
+                          all_counterexamples=True)
+    expected, cexs = _expected_scan(chicken, 10, "longest", 200, True)
+    checked = verdict.checked
+    assert len(checked) == len(expected) > 10
+    assert type(checked[0]) is Check and checked[0] == expected[0]
+    assert checked[-1] == expected[-1]
+    assert checked[-len(checked)] == expected[0]
+    with pytest.raises(IndexError):
+        checked[len(checked)]
+    assert type(checked[2:7]) is tuple and checked[2:7] == expected[2:7]
+    assert checked[::-3] == expected[::-3]
+    assert all(type(c) is Check for c in checked)
+    assert all(type(c) is Check for c in checked[1:4])
+    # Equal to, and hashed like, the tuple of its checks, either way round.
+    assert checked == expected and expected == checked
+    assert checked != expected[:-1]
+    assert hash(checked) == hash(expected)
+    assert _triples(verdict.counterexamples) == cexs
+    assert type(verdict.counterexamples) is tuple
+    as_tuple = dataclasses.replace(verdict, checked=tuple(checked))
+    again = oracle_scan(chicken, 10, "longest", bound=200,
+                        all_counterexamples=True)
+    assert verdict == as_tuple == again and as_tuple == verdict
+    assert hash(verdict) == hash(as_tuple) == hash(again)
+    assert verdict != oracle_scan(chicken, 10, "longest", bound=199,
+                                  all_counterexamples=True)
+
+
+def test_numerical_scan_keeps_24_bytes_per_check():
+    # Every length here is at most 256, a cached small int, so the scan
+    # keeps one list slot per value and one array slot per check (see
+    # budget.py).  One Check record per value took about 130 bytes.
+    S = new_semigroup([100, 101, 9899])
+    tracemalloc.start()
+    try:
+        verdict = oracle_scan(S, 9899, "shortest", bound=120_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and len(verdict.checked) > 10**5
+    assert peak <= 24 * len(verdict.checked)
 
 
 def test_oracle_scan_affine_needs_bound(plane):
