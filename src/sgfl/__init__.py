@@ -9,6 +9,8 @@ factorizations, Kunz-polytope inequalities deciding the same questions
 from coordinates alone, and brute-force scans for cross-validation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .budget import DEFAULT_BUDGET, BudgetMeter
 from .errors import (
     BadModulusError,
@@ -90,31 +92,7 @@ from .verdicts import (
 
 # The imported names only; the submodules stay importable but unexported.
 __all__ = [
-    # budget, errors
-    "DEFAULT_BUDGET", "BudgetMeter", "BadModulusError", "BudgetExceededError",
-    "DifferentFaceError", "DimensionMismatchError", "InequalityViolatedError",
-    "MissingBoundError", "MNotAtomAtPointError", "MNotAtomError",
-    "MNotInSError", "NoFactorizationError", "NotEmbDim3Error",
-    "NotInSemigroupError", "NotIntegerPointError", "NotMinimalError",
-    "NotNumericalError", "NotPointedError", "ReportMismatchError", "SgflError",
-    # kunz
-    "INFINITY", "InfFactorization", "KunzInequality", "KunzPoint",
-    "KunzVerdict", "cominimal", "is_m_atom_point", "is_reduced_point",
-    "kunz_point", "main_verdict", "min_inf_factorizations",
-    "numerical_context", "oplus", "pinfty_atoms", "pinfty_length_extremes",
-    "point_of_semigroup", "poset_of_point", "pseudomin", "semigroup_of_point",
-    "sq_leq", "structure_constants",
-    # lengths
-    "LengthSummary", "factorizations", "length_summary", "longest_length",
-    "shortest_length",
-    # minrepl
-    "MinReplReport", "candidate_sets", "is_left_zero", "is_right_zero",
-    "min_repl", "repl_contains",
-    # semigroups
-    "SemigroupPresentation", "apery_set", "contains", "divides", "frobenius",
-    "minimal_generating_subset", "new_semigroup",
-    # verdicts
-    "Check", "Formula", "Verdict", "candidate_atoms", "check_formula",
-    "default_scan_bound", "embdim3_check", "oracle_scan",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
 __version__ = "0.1.0"

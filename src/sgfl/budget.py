@@ -2,10 +2,14 @@
 
 A budget is a positive int.  Where a search keeps a table, the budget
 bounds its memory too.  The numerical oracle_scan is charged one node per
-value 0..bound+m and keeps one list slot (8 bytes) per value for its
-lengths and one array slot (8 bytes) per checked value: at most 24 bytes
-per check with the lists' growth slack, while every length is at most
-256.  A length above 256 is an int object of its own and adds 32 bytes.
+value 0..bound+m.  Up to the last value it checks, it keeps an 8-byte
+list slot per value, an 8-byte array slot per check, and a 32-byte int
+object per non-member (its sentinel) and per length above 256.  While it
+fills, it also holds one slot per value below 0 down to minus the
+largest atom in range.  With the lists' growth slack that is at most 60
+bytes per node.  Where nearly every scanned value is checked and every
+length is at most 256, as at m = 9899 in <100, 101, 9899>, it is at most
+24 bytes per check.
 """
 
 from .errors import BudgetExceededError, SgflError

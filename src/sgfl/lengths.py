@@ -123,37 +123,50 @@ def shortest_length(S, v, budget=None):
     return _extremal(S, v, maximize=False, budget=budget)
 
 
+def _length_fill(atoms, upto, maximize):
+    """The start of a dimension-1 length table and the lazy fill of the rest.
+
+    Returns (table, pad, fill).  table holds pad leading slots for values
+    below 0 and then entry 0, so value v sits at table[pad + v].  fill
+    yields the entries of v = 1..upto in order, and the caller appends
+    each one to table before it draws the next.  Every factorization of
+    v > 0 ends in some atom g, so L(v) = max_g L(v - g) + 1 and
+    l(v) = min_g l(v - g) + 1 over the atoms g <= v with v - g in S.
+    Every atom is at least 1, so entry v reads only entries below it, and
+    fill is one map over lagged readers of the list: the reader of atom g
+    yields entry v - g while entry v is drawn.  Values outside S hold a
+    sentinel outside 0..upto (below it when maximizing, above it
+    otherwise); one step moves it by 1, never into that range, where every
+    length lies.  Atoms above upto never occur, so pad, the largest atom
+    up to upto, keeps the table at most 2 * upto + 1 entries whatever the
+    largest atom.
+    """
+    gens = [g for g in atoms if g <= upto]
+    missing = -upto - 1 if maximize else upto + 1
+    pad = gens[-1] if gens else 0
+    table = [missing] * pad + [0]
+    if not gens:
+        return table, pad, repeat(missing, upto)
+    # A list iterator reads by index, so each reader sees the entries
+    # appended after it was made; repeat ends the fill after upto entries
+    # and gives pick a second argument when a single atom is in range.
+    readers = [islice(table, pad + 1 - g, None) for g in gens]
+    best = map(max if maximize else min, repeat(missing, upto), *readers)
+    return table, pad, map((1).__add__, best)
+
+
 def length_table(S, upto, maximize, budget=None):
     """L(v) (or l(v) unless maximize) for v = 0..upto; None outside S.
 
-    Dimension 1 only.  Every factorization of v > 0 ends in some atom g,
-    so L(v) = max_g L(v - g) + 1 and l(v) = min_g l(v - g) + 1 over the
-    atoms g <= v with v - g in S.  Every atom is at least 1, so entry v
-    reads only entries below it, and the whole table is one map over
-    lagged readers of the list it extends: the reader of atom g yields
-    entry v - g while entry v is appended.  Values outside S hold a
-    sentinel outside 0..upto during the fill (below it when maximizing,
-    above it otherwise); one step moves it by 1, never into that range,
-    where every length lies.  Atoms above upto never occur, so the table
-    holds at most 2 * upto + 1 entries whatever the largest atom.  One
-    budget node per entry of 0..upto, charged before the table is
-    allocated.
+    Dimension 1 only.  The table is filled by the recurrence of
+    _length_fill.  One budget node per entry of 0..upto, charged before
+    the table is allocated.
     """
     if S.dim != 1:
         raise NotNumericalError("length tables are dimension-1 only")
     BudgetMeter(budget).spend(upto + 1)
-    gens = [g for g in S.atoms if g <= upto]
-    if not gens:
-        return [0] + [None] * upto
-    pick = max if maximize else min
-    missing = -upto - 1 if maximize else upto + 1
-    pad = gens[-1]  # leading non-members: v - g stays in the list
-    table = [missing] * pad + [0]
-    # A list iterator reads by index, so each reader sees the entries that
-    # extend appends after it; repeat ends the fill after upto entries and
-    # gives pick a second argument when a single atom is in range.
-    readers = [islice(table, pad + 1 - g, None) for g in gens]
-    table.extend(map((1).__add__, map(pick, repeat(missing, upto), *readers)))
+    table, pad, fill = _length_fill(S.atoms, upto, maximize)
+    table.extend(fill)
     # In place, so the table is the only list of its size at any time.
     del table[:pad]
     for v, x in enumerate(table):

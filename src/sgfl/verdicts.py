@@ -41,7 +41,12 @@ from .errors import (
     NotNumericalError,
     SgflError,
 )
-from .lengths import length_table, longest_length, shortest_length
+from .lengths import (
+    _length_fill,
+    length_table,
+    longest_length,
+    shortest_length,
+)
 from .minrepl import _element_sort_key, _require_report_for, min_repl
 from .minrepl import is_left_zero, is_right_zero
 
@@ -365,20 +370,13 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         exact = bound >= exact_bound
         top = bound + m_elt
         BudgetMeter(budget).spend(top + 1)
-        pick = max if formula is Formula.LONGEST else min
-        # Non-members hold a sentinel outside 0..top, where every length
-        # lies; one step moves it by 1, never into that range.
-        missing = -top - 1 if formula is Formula.LONGEST else top + 1
-        pad = S.atoms[-1]  # leading non-members: v - g stays in the list
-        best = [missing] * pad + [0]  # best[pad + v] = L(v) (or l(v))
-        # Lagged readers of the growing list: a list iterator reads by
-        # index, so it sees the entries appended after it was made.
-        below = zip(*[islice(best, pad + 1 - g, None) for g in S.atoms])
+        # best[pad + v] = L(v) (or l(v)); shifts yields entry v - m at v.
+        maximize = formula is Formula.LONGEST
+        best, pad, fill = _length_fill(S.atoms, top, maximize)
         shifts = islice(best, pad + 1 - m_elt, None)
         elements = array("q")
         counterexamples = []
-        for v, prev, cands in zip(range(1, top + 1), shifts, below):
-            cur = pick(cands) + 1
+        for v, prev, cur in zip(range(1, top + 1), shifts, fill):
             best.append(cur)
             if not 0 <= prev <= top:
                 continue

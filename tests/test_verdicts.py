@@ -307,9 +307,10 @@ def test_numerical_scan_checks_read_like_a_tuple(chicken):
 
 
 def test_numerical_scan_keeps_24_bytes_per_check():
-    # Every length here is at most 256, a cached small int, so the scan
-    # keeps one list slot per value and one array slot per check (see
-    # budget.py).  One Check record per value took about 130 bytes.
+    # Nearly every value here is checked and every length is at most 256,
+    # a cached small int, so the scan keeps little beyond one list slot
+    # per value and one array slot per check (see budget.py).  One Check
+    # record per value took about 130 bytes.
     S = new_semigroup([100, 101, 9899])
     tracemalloc.start()
     try:
@@ -319,6 +320,24 @@ def test_numerical_scan_keeps_24_bytes_per_check():
         tracemalloc.stop()
     assert verdict.holds and len(verdict.checked) > 10**5
     assert peak <= 24 * len(verdict.checked)
+
+
+def test_numerical_scan_memory_ignores_atoms_above_its_range():
+    # Values up to bound + m = 12 never read an atom of 10**9 + 1, so the
+    # scan pads its list by the largest atom in range only; a pad by the
+    # largest atom would take 8 GB although the budget allows 100 nodes.
+    S = new_semigroup([2, 10**9 + 1])
+    tracemalloc.start()
+    try:
+        verdict = oracle_scan(S, 2, "longest", bound=10, budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert _triples(verdict.checked) == tuple(
+        (s, s // 2, s // 2) for s in range(2, 13, 2)
+    )
+    assert peak < 100_000
 
 
 def test_oracle_scan_affine_needs_bound(plane):
