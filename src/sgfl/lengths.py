@@ -149,7 +149,7 @@ def _length_fill(atoms, upto, maximize):
         return table, pad, repeat(missing, upto)
     # A list iterator reads by index, so each reader sees the entries
     # appended after it was made; repeat ends the fill after upto entries
-    # and gives pick a second argument when a single atom is in range.
+    # and gives max or min a second argument when a single atom is in range.
     readers = [islice(table, pad + 1 - g, None) for g in gens]
     best = map(max if maximize else min, repeat(missing, upto), *readers)
     return table, pad, map((1).__add__, best)
