@@ -43,13 +43,9 @@ from .kunz import (
     is_reduced_point,
     kunz_point,
     main_verdict,
-    min_inf_factorizations,
     numerical_context,
-    oplus,
-    pinfty_atoms,
     pinfty_length_extremes,
     point_of_semigroup,
-    poset_of_point,
     pseudomin,
     semigroup_of_point,
     sq_leq,
@@ -72,10 +68,6 @@ from .minrepl import (
 )
 from .semigroups import (
     SemigroupPresentation,
-    apery_set,
-    contains,
-    divides,
-    frobenius,
     minimal_generating_subset,
     new_semigroup,
 )

@@ -23,7 +23,6 @@ from .lengths import length_summary
 from .kunz import (
     kunz_point,
     main_verdict,
-    numerical_context,
     pseudomin,
     require_same_face,
     semigroup_of_point,
@@ -204,32 +203,33 @@ def _envelope(command, args, result):
     }
 
 
-def _verdict_rows_tsv(rows):
-    header = "formula\tm\tholds\tmethod\texact\tcounterexamples"
-    lines = [header]
-    for r in rows:
-        cex = ";".join(str(_jsonable(c["element"])) for c in r["counterexamples"])
+def _verdict_rows_tsv(verdicts):
+    lines = ["formula\tm\tholds\tmethod\texact\tcounterexamples"]
+    for v in verdicts:
+        cex = ";".join(str(_jsonable(c.element)) for c in v.counterexamples)
         lines.append(
-            f"{r['formula']}\t{r['m']}\t{str(r['holds']).lower()}"
-            f"\t{r['method']}\t{str(r['exact']).lower()}\t{cex}"
+            f"{v.formula.value}\t{_jsonable(v.m)}\t{str(v.holds).lower()}"
+            f"\t{v.method}\t{str(v.exact).lower()}\t{cex}"
         )
     return "\n".join(lines) + "\n"
 
 
-def _verdict_rows_pretty(rows):
+def _verdict_rows_pretty(verdicts):
     lines = []
-    for r in rows:
-        status = "holds" if r["holds"] else "FAILS"
+    for v in verdicts:
+        status = "holds" if v.holds else "FAILS"
         extra = ""
-        if r["counterexamples"]:
-            first = r["counterexamples"][0]
+        if v.counterexamples:
+            first = v.counterexamples[0]
             extra = (
-                f" (first counterexample {first['element']}: "
-                f"{first['value']} != {first['shifted']})"
+                f" (first counterexample {_jsonable(first.element)}: "
+                f"{first.value} != {first.shifted})"
             )
-        if not r["exact"]:
+        if not v.exact:
             extra += " [evidence only: bounded scan]"
-        lines.append(f"{r['formula']} formula at m={r['m']}: {status}{extra}")
+        lines.append(
+            f"{v.formula.value} formula at m={_jsonable(v.m)}: {status}{extra}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -269,9 +269,10 @@ def _cmd_analyze(args):
         return verdicts
 
     result = []
-    rows = []
+    all_verdicts = []
     for S in semigroups:
         vs = verdicts_for(S)
+        all_verdicts.extend(vs)
         entry = {
             "generators": _jsonable(S.atoms),
             "dim": S.dim,
@@ -287,13 +288,12 @@ def _cmd_analyze(args):
                 for text in args.element
             ]
         result.append(entry)
-        rows.extend(verdict_json(v) for v in vs)
-    all_hold = all(r["holds"] for r in rows)
+    all_hold = all(v.holds for v in all_verdicts)
     exit_code = 0 if (all_hold or not args.assert_holds) else 1
     if args.output == "tsv":
-        return _verdict_rows_tsv(rows), exit_code
+        return _verdict_rows_tsv(all_verdicts), exit_code
     if args.output == "pretty":
-        return _verdict_rows_pretty(rows), exit_code
+        return _verdict_rows_pretty(all_verdicts), exit_code
     return _emit(_envelope("analyze", args, result)), exit_code
 
 
@@ -318,6 +318,8 @@ def _cmd_verdict(args):
     m = parse_element(args.m, S.dim)
     if args.method == "embdim3":
         verdict = embdim3_check(S, args.formula, budget=args.budget)
+        if verdict.m != m:
+            raise SgflError(f"embdim3 decides at m = {verdict.m}, not {m!r}")
     elif args.method == "oracle":
         verdict = oracle_scan(
             S,
@@ -331,20 +333,18 @@ def _cmd_verdict(args):
     else:
         verdict = check_formula(S, m, args.formula, budget=args.budget)
     exit_code = 0 if (verdict.holds or not args.assert_holds) else 1
-    row = verdict_json(verdict)
     if args.output == "tsv":
-        return _verdict_rows_tsv([row]), exit_code
+        return _verdict_rows_tsv([verdict]), exit_code
     if args.output == "pretty":
-        return _verdict_rows_pretty([row]), exit_code
-    return _emit(_envelope("verdict", args, row)), exit_code
+        return _verdict_rows_pretty([verdict]), exit_code
+    return _emit(_envelope("verdict", args, verdict_json(verdict))), exit_code
 
 
 def _cmd_kunz(args):
     if args.output != "json":
         raise SgflError("kunz reports are not flat; use json output")
-    m = numerical_context(args.m)
-    point = kunz_point(m, _ints(args.x), budget=args.budget)
-    S = semigroup_of_point(m, point)
+    point = kunz_point(args.m, _ints(args.x), budget=args.budget)
+    S = semigroup_of_point(args.m, point)
     mine = pseudomin(point)
     result = {
         "m": args.m,
@@ -364,7 +364,7 @@ def _cmd_kunz(args):
         if args.assert_holds and not v.holds:
             exit_code = 1
     if args.cominimal:
-        other = kunz_point(m, _ints(args.cominimal), budget=args.budget)
+        other = kunz_point(args.m, _ints(args.cominimal), budget=args.budget)
         require_same_face(point, other)  # kunz.cominimal, reusing mine
         theirs = pseudomin(other)
         result["cominimal"] = {f.c for f in mine} == {f.c for f in theirs}

@@ -16,7 +16,6 @@ from .kunz import (
     cominimal,
     kunz_point,
     main_verdict,
-    numerical_context,
     point_of_semigroup,
     semigroup_of_point,
     structure_constants,
@@ -53,10 +52,6 @@ def _rows(budget):
     B = _gens_plane_wide()
     S69 = new_semigroup([6, 9, 20])
     S568 = new_semigroup([5, 6, 8])
-    ctx5 = numerical_context(5)
-
-    def row(rid, expected, compute):
-        return rid, expected, compute
 
     def r10():
         return candidate_sets(S, 10, min_repl(S, 10, budget=budget))
@@ -64,22 +59,22 @@ def _rows(budget):
     def r38():
         return candidate_sets(S, 38, min_repl(S, 38, budget=budget))
 
-    yield row(
+    yield (
         "minrepl_10-12-21-38_m10_vectors",
         ((0, 0, 2), (0, 2, 0), (1, 0, 1), (4, 0, 0)),
         lambda: r10().minimal_vectors,
     )
-    yield row(
+    yield (
         "minrepl_10-12-21-38_m10_values",
         {(0, 0, 2): 76, (0, 2, 0): 42, (1, 0, 1): 50, (4, 0, 0): 48},
         lambda: r10().evaluations,
     )
-    yield row(
+    yield (
         "minrepl_10-12-21-38_m10_candidate_sets",
         {"M1": (48,), "N1": (48,)},
         lambda: {"M1": r10().m1, "N1": r10().n1},
     )
-    yield row(
+    yield (
         "minrepl_10-12-21-38_m38_vectors",
         (
             (0, 0, 4),
@@ -92,7 +87,7 @@ def _rows(budget):
         ),
         lambda: r38().minimal_vectors,
     )
-    yield row(
+    yield (
         "minrepl_10-12-21-38_m38_values",
         {
             (0, 0, 4): 84,
@@ -105,12 +100,12 @@ def _rows(budget):
         },
         lambda: r38().evaluations,
     )
-    yield row(
+    yield (
         "minrepl_10-12-21-38_m38_candidate_sets",
         {"M2": (48, 50, 76), "N2": (48,)},
         lambda: {"M2": r38().m2, "N2": r38().n2},
     )
-    yield row(
+    yield (
         "lengths_10-12-21-38_48",
         {"longest": 4, "shortest": 2},
         lambda: {
@@ -118,7 +113,7 @@ def _rows(budget):
             "shortest": length_summary(S, 48, budget=budget).shortest,
         },
     )
-    yield row(
+    yield (
         "verdict_10-12-21-38_longest_at_10",
         {"holds": False, "counterexamples": ((48, 4, 2),)},
         lambda: _verdict_digest(check_formula(S, 10, "longest", budget=budget)),
@@ -126,12 +121,12 @@ def _rows(budget):
     # The shortest formula fails here: l(84) = 4 (four 21s) while
     # l(46) + 1 = 5, and 84 is the value of the minimal replaceable
     # vector (0, 0, 4).  At 48 itself the equation does hold (2 = 2).
-    yield row(
+    yield (
         "verdict_10-12-21-38_shortest_at_38",
         {"holds": False, "counterexamples": ((84, 4, 5),)},
         lambda: _verdict_digest(check_formula(S, 38, "shortest", budget=budget)),
     )
-    yield row(
+    yield (
         "lengths_10-12-21-38_48_shift_equation",
         {"l(48)": 2, "l(10)+1": 2},
         lambda: {
@@ -139,7 +134,7 @@ def _rows(budget):
             "l(10)+1": length_summary(S, 10, budget=budget).shortest + 1,
         },
     )
-    yield row(
+    yield (
         "membership_10-12-21-38",
         {"48": True, "11": False, "divides_48_84": True, "divides_48_42": False},
         lambda: {
@@ -150,7 +145,7 @@ def _rows(budget):
         },
     )
 
-    yield row(
+    yield (
         "minrepl_plane_all_atoms",
         {
             (2, 0): ((10, 0),),
@@ -162,7 +157,7 @@ def _rows(budget):
             for m in A.atoms
         },
     )
-    yield row(
+    yield (
         "lengths_plane_30-10_and_27-9",
         {"L(30,10)": 17, "l(30,10)": 10, "L(27,9)": 9},
         lambda: {
@@ -171,7 +166,7 @@ def _rows(budget):
             "L(27,9)": length_summary(A, (27, 9), budget=budget).longest,
         },
     )
-    yield row(
+    yield (
         "verdicts_plane_longest",
         {(2, 0): True, (3, 1): False, (0, 5): True},
         lambda: {
@@ -179,7 +174,7 @@ def _rows(budget):
             for m in A.atoms
         },
     )
-    yield row(
+    yield (
         "verdicts_plane_shortest",
         {(2, 0): False, (3, 1): True, (0, 5): False},
         lambda: {
@@ -188,12 +183,12 @@ def _rows(budget):
         },
     )
 
-    yield row(
+    yield (
         "minrepl_plane-wide_m3-0",
         ((0, 0, 3, 0), (0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)),
         lambda: min_repl(B, (3, 0), budget=budget).minimal_vectors,
     )
-    yield row(
+    yield (
         "candidates_plane-wide_m3-0_empty",
         {"M1": (), "holds": True},
         lambda: {
@@ -204,7 +199,7 @@ def _rows(budget):
         },
     )
 
-    yield row(
+    yield (
         "three_methods_6-9-20",
         {
             "longest": {"minrepl": True, "embdim3": True, "oracle": True},
@@ -224,53 +219,53 @@ def _rows(budget):
         },
     )
 
-    yield row(
+    yield (
         "apery_and_frobenius_5-6-8",
         {"apery": [0, 6, 12, 8, 14], "frobenius": 9},
         lambda: {"apery": S568.apery_set(5), "frobenius": S568.frobenius()},
     )
-    yield row(
+    yield (
         "embdim3_5-6-8_longest",
         True,
         lambda: embdim3_check(S568, "longest", budget=budget).holds,
     )
 
-    yield row(
+    yield (
         "kunz_point_of_5-6-8",
         (0, 1, 2, 1, 2),
-        lambda: point_of_semigroup(ctx5, S568, budget=budget).x,
+        lambda: point_of_semigroup(5, S568, budget=budget).x,
     )
-    yield row(
+    yield (
         "kunz_nontrivial_relations_5-6-8",
         ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (3, 4)),
         lambda: tuple(
             sorted(
                 (a, b)
-                for (a, b) in point_of_semigroup(ctx5, S568, budget=budget).relations
+                for (a, b) in point_of_semigroup(5, S568, budget=budget).relations
                 if a != b
             )
         ),
     )
-    yield row(
+    yield (
         "kunz_min_inf_5-6-8",
         ((0, 2), (2, 1), (3, 0)),
         lambda: tuple(
-            f.c for f in point_of_semigroup(ctx5, S568, budget=budget).min_inf
+            f.c for f in point_of_semigroup(5, S568, budget=budget).min_inf
         ),
     )
-    yield row(
+    yield (
         "kunz_thresholds_5-6-8",
         {"b((3,0),(0,2))": 0, "b((0,2),(3,0))": 1},
         lambda: {
             "b((3,0),(0,2))": structure_constants(
-                ctx5, (3, 0), (0, 2), (1, 3)
+                5, (3, 0), (0, 2), (1, 3)
             )[1],
             "b((0,2),(3,0))": structure_constants(
-                ctx5, (0, 2), (3, 0), (1, 3)
+                5, (0, 2), (3, 0), (1, 3)
             )[1],
         },
     )
-    yield row(
+    yield (
         "kunz_longest_verdicts_m5_family",
         {
             (0, 1, 2, 1, 2): True,
@@ -280,7 +275,7 @@ def _rows(budget):
         },
         lambda: {
             coords: main_verdict(
-                kunz_point(ctx5, list(coords), budget=budget), "longest"
+                kunz_point(5, list(coords), budget=budget), "longest"
             ).holds
             for coords in [
                 (0, 1, 2, 1, 2),
@@ -290,7 +285,7 @@ def _rows(budget):
             ]
         },
     )
-    yield row(
+    yield (
         "kunz_semigroups_of_m5_family",
         {
             (0, 1, 2, 1, 2): (5, 6, 8),
@@ -299,7 +294,7 @@ def _rows(budget):
             (0, 3, 6, 8, 11): (5, 16, 43),
         },
         lambda: {
-            coords: semigroup_of_point(ctx5, list(coords), budget=budget).atoms
+            coords: semigroup_of_point(5, list(coords), budget=budget).atoms
             for coords in [
                 (0, 1, 2, 1, 2),
                 (0, 11, 22, 32, 43),
@@ -308,13 +303,13 @@ def _rows(budget):
             ]
         },
     )
-    yield row(
+    yield (
         "kunz_cominimal_m5_family",
         {comp: True for comp in [(0, 11, 22, 32, 43), (0, 3, 6, 2, 5), (0, 3, 6, 8, 11)]},
         lambda: {
             comp: cominimal(
-                kunz_point(ctx5, [0, 1, 2, 1, 2], budget=budget),
-                kunz_point(ctx5, list(comp), budget=budget),
+                kunz_point(5, [0, 1, 2, 1, 2], budget=budget),
+                kunz_point(5, list(comp), budget=budget),
             )
             for comp in [(0, 11, 22, 32, 43), (0, 3, 6, 2, 5), (0, 3, 6, 8, 11)]
         },

@@ -38,7 +38,8 @@ INFINITY = None  # the absorbing element of the extended quotient semigroup
 
 
 def numerical_context(m):
-    """The modulus m of Z/mZ, returned as is once it is an int >= 2."""
+    """The modulus m of Z/mZ, returned once it is an int >= 2.  It is public
+    only because the benchmark's kunz_item calls it (ROADMAP item 10)."""
     if not isinstance(m, int) or m < 2:
         raise BadModulusError(f"modulus must be an integer >= 2, got {m!r}")
     return m
@@ -300,16 +301,6 @@ def point_of_semigroup(m, S, budget=None):
     )
 
 
-def _point_over(m, point, budget):
-    """point as a KunzPoint over the modulus m; raw coordinates are built
-    with the budget, and a built point over another modulus is refused."""
-    if not isinstance(point, KunzPoint):
-        return kunz_point(m, point, budget=budget)
-    if point.m != numerical_context(m):
-        raise BadModulusError(f"the point lives over m = {point.m}, not over m = {m}")
-    return point
-
-
 def semigroup_of_point(m, point, budget=None):
     """The numerical semigroup generated by m and the coordinate elements.
 
@@ -318,30 +309,16 @@ def semigroup_of_point(m, point, budget=None):
     has s - m outside S, so it is the least element w_a of its residue,
     and w_a = w_b + w_c for nonzero b, c exactly when a = b (+) c is
     composite at the point.  new_semigroup still confirms every atom.
-    The budget is spent by kunz_point when point is raw coordinates.
+    Raw coordinates are built with the budget; a KunzPoint must live over m.
     """
-    point = _point_over(m, point, budget)
+    if not isinstance(point, KunzPoint):
+        point = kunz_point(m, point, budget=budget)
+    elif point.m != numerical_context(m):
+        raise BadModulusError(f"the point lives over m = {point.m}, not over m = {m}")
     gens = _images(point.m, point.x, point.atoms)
     if _m_atom_violation(point) is None:
         gens.append(point.m)
     return new_semigroup(gens)
-
-
-def poset_of_point(m, point, budget=None):
-    """All order relations a <= b (reflexive closure included)."""
-    return _point_over(m, point, budget).relations
-
-
-def oplus(point, a, b):
-    return point.oplus(a, b)
-
-
-def pinfty_atoms(point):
-    return point.atoms
-
-
-def min_inf_factorizations(point):
-    return point.min_inf
 
 
 def pinfty_length_extremes(point, beta):
@@ -458,6 +435,8 @@ def is_reduced_point(point):
     since every coordinate is nonnegative: chaining the inequalities
     along a, 2a, ... gives x_{ka} <= k * x_a + ka // m, and at k = ord(a)
     the left side is x_0 = 0, so x_a >= -a/m > -1; hence x_a >= 0.
+    It is public only because the benchmark's kunz_item calls it (ROADMAP
+    item 10).
     """
     m = point.m
     x = point.x

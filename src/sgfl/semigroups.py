@@ -415,20 +415,3 @@ def new_semigroup(generators, dim=None):
             generator_gcd = gcd(generator_gcd, v[0])
     return SemigroupPresentation(tuple(vecs), dim, grading, generator_gcd)
 
-
-# Module-level forms of the presentation methods, for symmetric call sites.
-
-def contains(S, v):
-    return S.contains(v)
-
-
-def divides(S, a, b):
-    return S.divides(a, b)
-
-
-def apery_set(S, m):
-    return S.apery_set(m)
-
-
-def frobenius(S):
-    return S.frobenius()

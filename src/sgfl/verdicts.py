@@ -195,24 +195,25 @@ def _check_targets(S, m, formula, report):
     """The sound finite check set: evaluations with a qualifying witness.
 
     The longest formula can only first fail at an evaluation with a witness
-    of length > 2 that is not left-zero (numerical, m smallest); the
-    shortest formula at an evaluation with a witness that is not right-zero
-    (numerical, m largest).  Every minimal replaceable evaluation stays in
-    the set otherwise: restricting further to divisibility-minimal
-    evaluations is not sound, because a failure at an evaluation need not
-    descend to the evaluations dividing it (the minimal vectors below its
-    extremal factorization may all evaluate to the element itself).
+    of length > 2 that is not left-zero (numerical, m the candidate atom
+    n1); the shortest formula at an evaluation with a witness that is not
+    right-zero (numerical, m the candidate atom n_k; see candidate_atoms).
+    Every minimal replaceable evaluation stays in the set otherwise:
+    restricting further to divisibility-minimal evaluations is not sound,
+    because a failure at an evaluation need not descend to the evaluations
+    dividing it (the minimal vectors below its extremal factorization may
+    all evaluate to the element itself).
     """
-    m_elt = S.element(m)
+    refined = S.is_numerical and S.element(m) in candidate_atoms(S, formula)
     if formula is Formula.LONGEST:
-        if S.is_numerical and m_elt == S.atoms[0]:
+        if refined:
             def keep(c):
                 return sum(c) > 2 and not is_left_zero(c)
         else:
             def keep(c):
                 return sum(c) > 2
     else:
-        if S.is_numerical and m_elt == S.atoms[-1]:
+        if refined:
             def keep(c):
                 return not is_right_zero(c)
         else:
@@ -273,8 +274,8 @@ def embdim3_check(S, formula, budget=None):
         raise NotNumericalError("the three-generator fast path is numerical-only")
     if len(S.generators) != 3:
         raise NotEmbDim3Error(f"{S!r} does not have exactly 3 generators")
-    n1, n2, n3 = S.atoms
-    m = n1 if formula is Formula.LONGEST else n3
+    [m] = candidate_atoms(S, formula)
+    n2 = S.atoms[1]
     c = 1
     while not S.contains(c * n2 - m):
         c += 1

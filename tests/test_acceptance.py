@@ -16,7 +16,6 @@ from sgfl.kunz import (
     kunz_point,
     main_verdict,
     numerical_context,
-    oplus,
     point_of_semigroup,
     semigroup_of_point,
     structure_constants,
@@ -301,15 +300,15 @@ def test_criterion_8_structural_suites(kunz_scan):
         p = kunz_point(ctx, list(r.coords))
         domain = list(range(p.m)) + [None]
         for a, b in itertools.product(domain, repeat=2):
-            if oplus(p, a, b) != oplus(p, b, a):
+            if p.oplus(a, b) != p.oplus(b, a):
                 failures.append(("oplus-commutative", r.m, r.coords))
         for a, b, c in itertools.product(domain, repeat=3):
-            if oplus(p, oplus(p, a, b), c) != oplus(p, a, oplus(p, b, c)):
+            if p.oplus(p.oplus(a, b), c) != p.oplus(a, p.oplus(b, c)):
                 failures.append(("oplus-associative", r.m, r.coords))
                 break
         for a in range(p.m):
             for b in range(p.m):
-                divides = any(oplus(p, a, g) == b for g in range(p.m))
+                divides = any(p.oplus(a, g) == b for g in range(p.m))
                 if divides != p.leq(a, b):
                     failures.append(("oplus-divisibility", r.m, r.coords))
 

@@ -1,5 +1,11 @@
-"""The public surface: the exported names, and malformed input refused with
-an SgflError subclass at every entry point that takes it."""
+"""The public surface: the exported names, the names the benchmark reads,
+and malformed input refused with an SgflError subclass at every entry
+point that takes it."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +28,6 @@ from sgfl import (
     new_semigroup,
     oracle_scan,
     point_of_semigroup,
-    poset_of_point,
     repl_contains,
     semigroup_of_point,
     structure_constants,
@@ -31,7 +36,10 @@ from sgfl import (
 # A change to this list is a change to the public API; record it in
 # CHANGES.md.  KunzContext left it when the Kunz entry points began to
 # take the int modulus, and the seven submodules when __all__ stopped
-# being built from dir().
+# being built from dir().  The module-level forwarders oplus,
+# pinfty_atoms, min_inf_factorizations, poset_of_point, contains, divides,
+# apery_set and frobenius left it for the KunzPoint and
+# SemigroupPresentation members they called.
 PUBLIC_NAMES = [
     "BadModulusError", "BudgetExceededError", "BudgetMeter", "Check",
     "DEFAULT_BUDGET", "DifferentFaceError", "DimensionMismatchError",
@@ -41,16 +49,16 @@ PUBLIC_NAMES = [
     "MissingBoundError", "NoFactorizationError", "NotEmbDim3Error",
     "NotInSemigroupError", "NotIntegerPointError", "NotMinimalError",
     "NotNumericalError", "NotPointedError", "ReportMismatchError",
-    "SemigroupPresentation", "SgflError", "Verdict", "apery_set",
+    "SemigroupPresentation", "SgflError", "Verdict",
     "candidate_atoms", "candidate_sets", "check_formula", "cominimal",
-    "contains", "default_scan_bound", "divides", "embdim3_check",
-    "factorizations", "frobenius", "is_left_zero", "is_m_atom_point",
+    "default_scan_bound", "embdim3_check",
+    "factorizations", "is_left_zero", "is_m_atom_point",
     "is_reduced_point", "is_right_zero", "kunz_point",
     "length_summary", "longest_length", "main_verdict",
-    "min_inf_factorizations", "min_repl", "minimal_generating_subset",
-    "new_semigroup", "numerical_context", "oplus", "oracle_scan",
-    "pinfty_atoms", "pinfty_length_extremes", "point_of_semigroup",
-    "poset_of_point", "pseudomin", "repl_contains", "semigroup_of_point",
+    "min_repl", "minimal_generating_subset",
+    "new_semigroup", "numerical_context", "oracle_scan",
+    "pinfty_length_extremes", "point_of_semigroup",
+    "pseudomin", "repl_contains", "semigroup_of_point",
     "shortest_length", "sq_leq", "structure_constants",
 ]
 
@@ -106,8 +114,8 @@ MALFORMED = {
     "semigroup_of_point-m-5.0": (
         BadModulusError,
         lambda: semigroup_of_point(5.0, kunz_point(5, M5_POINT))),
-    "poset_of_point-m-0": (
-        BadModulusError, lambda: poset_of_point(0, M5_POINT)),
+    "semigroup_of_point-m-0": (
+        BadModulusError, lambda: semigroup_of_point(0, M5_POINT)),
     "BudgetMeter-float": (SgflError, lambda: BudgetMeter(1.5)),
     "BudgetMeter-bool": (SgflError, lambda: BudgetMeter(True)),
     "BudgetMeter-str": (SgflError, lambda: BudgetMeter("x")),
@@ -137,3 +145,77 @@ def test_malformed_input_raises_named_sgfl_error(case):
     with pytest.raises(SgflError) as info:
         call()
     assert type(info.value) is expected
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _literal(tree, name):
+    """The value of the module-level literal assignment to name, or ()."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def _sgfl_reads(path):
+    """The (module, attribute) pairs of sgfl that one file reads: its
+    sgfl imports, attribute reads on the sgfl modules it imports, and,
+    for the tracer, its FUNCTIONS pairs and SemigroupPresentation METHODS.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    local = {}  # a local name bound to an sgfl module -> the module's name
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sgfl":
+                    local[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+            node.module.split(".")[0] == "sgfl"
+        ):
+            for alias in node.names:
+                reads.add((node.module, alias.name))
+                if node.module == "sgfl":
+                    local[alias.asname or alias.name] = f"sgfl.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in local:
+                reads.add((local[node.value.id], node.attr))
+    for module, function in _literal(tree, "FUNCTIONS"):
+        reads.add((f"sgfl.{module}", function))
+    for method in _literal(tree, "METHODS"):
+        reads.add(("sgfl.semigroups:SemigroupPresentation", method))
+    return reads
+
+
+def _exists(owner, attr):
+    """attr resolves on owner: a member of the class for "module:Class",
+    else an attribute or a submodule of the module."""
+    module, _, cls = owner.partition(":")
+    target = importlib.import_module(module)
+    if cls:
+        return attr in vars(getattr(target, cls))
+    return hasattr(target, attr) or (
+        hasattr(target, "__path__")
+        and importlib.util.find_spec(f"{module}.{attr}") is not None
+    )
+
+
+@pytest.mark.skipif(not PERFBENCH.is_dir(), reason="no perfbench/ checkout")
+def test_every_sgfl_name_the_benchmark_reads_exists():
+    # The benchmark's files are read, never imported: deleting a name that
+    # perfbench/ uses must fail here, not as a failed benchmark run.
+    reads = {
+        (path.name, owner, attr)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for owner, attr in _sgfl_reads(path)
+    }
+    owners = {owner for _, owner, _ in reads}
+    assert {"sgfl.cli", "sgfl.kunz", "sgfl.verdicts", "sgfl.minrepl",
+            "sgfl.semigroups",
+            "sgfl.semigroups:SemigroupPresentation"} <= owners
+    missing = sorted(r for r in reads if not _exists(r[1], r[2]))
+    assert missing == []

@@ -204,6 +204,20 @@ def test_tsv_output(capsys):
     assert lines[1].split("\t")[:3] == ["longest", "6", "true"]
 
 
+def test_tsv_prints_affine_counterexamples_in_coordinate_order(capsys):
+    # JSON and pretty print the element (30, 10) as [30, 10]; TSV once
+    # sorted its coordinates to [10, 30].
+    code, out, _ = run_cli(
+        capsys, "verdict", "--gens", "(2,0),(3,1),(0,5)", "--m", "(3,1)",
+        "--formula", "longest", "--output", "tsv",
+    )
+    assert code == 0
+    assert out == (
+        "formula\tm\tholds\tmethod\texact\tcounterexamples\n"
+        "longest\t[3, 1]\tfalse\tminrepl\ttrue\t[30, 10]\n"
+    )
+
+
 def test_tsv_rejected_for_non_flat_reports(capsys):
     code, _, err = run_cli(
         capsys, "minrepl", "--gens", "5,6,8", "--m", "5", "--output", "tsv",
@@ -364,6 +378,13 @@ def test_input_errors_exit_2(capsys):
         (("analyze", "--gens", "3,5"), "abc"),
         (("oracle", "--gens", "10,12,21,38", "--m", "38",
           "--formula", "shortest", "--bound", "-5"), None),
+        # embdim3 decides at n1 (longest) or n3 (shortest), not at --m.
+        (("verdict", "--gens", "6,9,20", "--m", "99",
+          "--formula", "longest", "--method", "embdim3"), None),
+        (("verdict", "--gens", "6,9,20", "--m", "20",
+          "--formula", "longest", "--method", "embdim3"), None),
+        (("verdict", "--gens", "6,9,20", "--m", "6",
+          "--formula", "shortest", "--method", "embdim3"), None),
     ],
 )
 def test_malformed_numbers_exit_2(capsys, monkeypatch, argv, env):

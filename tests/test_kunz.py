@@ -23,13 +23,9 @@ from sgfl.kunz import (
     is_reduced_point,
     kunz_point,
     main_verdict,
-    min_inf_factorizations,
     numerical_context,
-    oplus,
-    pinfty_atoms,
     pinfty_length_extremes,
     point_of_semigroup,
-    poset_of_point,
     pseudomin,
     semigroup_of_point,
     sq_leq,
@@ -105,9 +101,8 @@ def test_point_over_another_modulus_is_refused(ctx5, base_point):
     # The m = 5 point under m = 4 once gave <4, 5, 7>, under m = 6 an
     # IndexError.
     for m in (4, 6):
-        for build in (semigroup_of_point, poset_of_point):
-            with pytest.raises(BadModulusError):
-                build(numerical_context(m), base_point)
+        with pytest.raises(BadModulusError):
+            semigroup_of_point(numerical_context(m), base_point)
     assert semigroup_of_point(numerical_context(5), base_point).atoms == (5, 6, 8)
 
 
@@ -134,7 +129,6 @@ def test_poset_relations(ctx5, base_point):
     assert nontrivial == [
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (3, 4),
     ]
-    assert poset_of_point(ctx5, base_point) == base_point.relations
     for a in range(5):
         assert (a, a) in base_point.relations
     ctx2 = numerical_context(2)
@@ -150,11 +144,11 @@ def test_same_face_interior(ctx5, base_point):
 
 
 def test_oplus(base_point):
-    assert oplus(base_point, 1, 1) == 2
-    assert oplus(base_point, 1, 2) is INFINITY
-    assert oplus(base_point, 1, INFINITY) is INFINITY
-    assert oplus(base_point, INFINITY, INFINITY) is INFINITY
-    assert oplus(base_point, 0, 3) == 3
+    assert base_point.oplus(1, 1) == 2
+    assert base_point.oplus(1, 2) is INFINITY
+    assert base_point.oplus(1, INFINITY) is INFINITY
+    assert base_point.oplus(INFINITY, INFINITY) is INFINITY
+    assert base_point.oplus(0, 3) == 3
 
 
 def test_oplus_associative_commutative_exhaustive(ctx5, base_point):
@@ -163,9 +157,9 @@ def test_oplus_associative_commutative_exhaustive(ctx5, base_point):
     for p in points:
         domain = list(range(p.m)) + [INFINITY]
         for a, b in itertools.product(domain, repeat=2):
-            assert oplus(p, a, b) == oplus(p, b, a)
+            assert p.oplus(a, b) == p.oplus(b, a)
         for a, b, c in itertools.product(domain, repeat=3):
-            assert oplus(p, oplus(p, a, b), c) == oplus(p, a, oplus(p, b, c))
+            assert p.oplus(p.oplus(a, b), c) == p.oplus(a, p.oplus(b, c))
 
 
 def test_divisibility_under_oplus_is_poset(base_point):
@@ -173,21 +167,21 @@ def test_divisibility_under_oplus_is_poset(base_point):
     for a in range(m):
         for b in range(m):
             divides = any(
-                oplus(base_point, a, g) == b for g in range(m)
+                base_point.oplus(a, g) == b for g in range(m)
             )
             assert divides == base_point.leq(a, b)
 
 
 def test_atoms_and_their_image(base_point):
-    assert pinfty_atoms(base_point) == (1, 3)
+    assert base_point.atoms == (1, 3)
     image = sorted(base_point.x[a] * 5 + a for a in base_point.atoms)
     assert image == [6, 8]
     ctx2 = numerical_context(2)
-    assert pinfty_atoms(kunz_point(ctx2, [0, 1])) == (1,)
+    assert kunz_point(ctx2, [0, 1]).atoms == (1,)
 
 
 def test_min_inf_factorizations(base_point):
-    assert [f.c for f in min_inf_factorizations(base_point)] == [
+    assert [f.c for f in base_point.min_inf] == [
         (0, 2), (2, 1), (3, 0),
     ]
     ctx2 = numerical_context(2)
@@ -237,7 +231,7 @@ def test_min_inf_matches_pairwise_minimal_filter():
                 rec(i + 1, acc)
                 if acc is INFINITY:
                     break
-                acc = oplus(p, acc, p.atoms[i])
+                acc = p.oplus(acc, p.atoms[i])
             counts[i] = 0
 
         rec(0, 0)
@@ -282,7 +276,6 @@ def test_point_builders_pass_their_budget_through():
             lambda: point_of_semigroup(ctx, new_semigroup([m, m + 1]),
                                        budget=budget),
             lambda: semigroup_of_point(ctx, coords, budget=budget),
-            lambda: poset_of_point(ctx, coords, budget=budget),
         )
         for build in builders:
             if ok:
@@ -323,7 +316,7 @@ def test_pinfty_length_extremes_against_brute_force(ctx5):
             acc = 0
             for a, count in zip(p.atoms, c):
                 for _ in range(count):
-                    acc = oplus(p, acc, a)
+                    acc = p.oplus(acc, a)
             if acc is not INFINITY:
                 lengths.setdefault(acc, []).append(sum(c))
         return lengths
