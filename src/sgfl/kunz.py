@@ -17,10 +17,12 @@ point takes the modulus as the int m, checked by numerical_context.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cache
 from operator import mul
 
-from .budget import BudgetMeter
+from .budget import FACE_CACHE_WEIGHT, BudgetMeter
 from .errors import (
     BadModulusError,
     DifferentFaceError,
@@ -76,7 +78,7 @@ def _threshold(m, counts, counts2, support):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfFactorization:
     """A multiplicity vector over the quotient atoms, with its residue sum
     and carry."""
@@ -90,10 +92,13 @@ class InfFactorization:
 class KunzPoint:
     """A validated integer point with its derived order data.
 
-    All derived structure (tight pairs, the order relations, the extended
-    operation table, atoms, the minimal factorizations of INFINITY and the
-    factorization-length extremes of every residue) is computed eagerly at
-    construction; nothing is filled in later.  length_extremes[beta] is
+    The tight inequalities at x fix its face, and the face alone fixes
+    every derived field but evaluations: the tight pairs (equality_set),
+    the order relations, the extended operation table, the atoms, their
+    power bounds, the minimal factorizations of INFINITY and the
+    factorization-length extremes of every residue.  Every point of one
+    face shares these objects, built once per face and held by the face
+    cache; x and evaluations are per point.  length_extremes[beta] is
     the (longest, shortest) pair of beta over the atoms, or None when beta
     has no factorization.  evaluations maps each minimal INFINITY vector c
     to ev(c) = sum c_a * w_a over the atom images w_a = m * x_a + a; it is
@@ -110,6 +115,7 @@ class KunzPoint:
     min_inf: tuple
     length_extremes: tuple
     evaluations: dict = field(compare=False, repr=False)
+    _face: object = field(default=None, compare=False, repr=False)
 
     def oplus(self, a, b):
         if a is INFINITY or b is INFINITY:
@@ -129,14 +135,17 @@ def kunz_point(m, coords, budget=None):
     canonical representatives, 0 is always the least semigroup element in
     residue class 0, so no numerical semigroup corresponds to a point with
     x_0 > 0.  The budget is charged one node per residue pair of the order
-    tables and then spent by the atom walk.
+    tables and then the nodes of the face's atom walk, whether the face
+    is built here or read from the face cache.
     """
     m = numerical_context(m)
     try:
         x = tuple(coords)
     except TypeError:
         x = None
-    if x is None or len(x) != m or not all(isinstance(c, int) for c in x):
+    if x is None or len(x) != m or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in x
+    ):
         raise NotIntegerPointError(
             f"expected {m} integer coordinates, got {coords!r}"
         )
@@ -146,28 +155,115 @@ def kunz_point(m, coords, budget=None):
         )
     meter = BudgetMeter(budget)
     meter.spend(m * m)
+    key = (m, _tight_flags(m, x))
+    face = _FACES.get(key)
+    if face is None:
+        face = _build_face(key, meter)
+        _FACES.put(face)
+    else:
+        meter.spend(face.nodes)
+    images = _images(m, x, face.atoms)
+    evaluations = {f.c: sum(map(mul, f.c, images)) for f in face.min_inf}
+    return KunzPoint(
+        m=m,
+        x=x,
+        equality_set=face.equality_set,
+        relations=face.relations,
+        oplus_table=face.oplus_table,
+        atoms=face.atoms,
+        power_bounds=face.power_bounds,
+        min_inf=face.min_inf,
+        length_extremes=face.length_extremes,
+        evaluations=evaluations,
+        _face=face,
+    )
+
+
+def _tight_flags(m, x):
+    """The face of x: for each residue pair a <= b in row order, whether
+    its inequality x_a + x_b + d_{a,b} >= x_{a+b} is tight, as bytes.
+
+    Raises InequalityViolatedError at the first violated pair.
+    """
+    flags = []
+    for a in range(m):
+        xa = x[a]
+        for b in range(a, m):
+            gap = xa + x[b] + (a + b) // m - x[(a + b) % m]
+            if gap < 0:
+                raise InequalityViolatedError((a, b))
+            flags.append(gap == 0)
+    return bytes(flags)
+
+
+# -- the face cache --------------------------------------------------------
+
+class _Face:
+    """The order data of one face, shared by every point on it.
+
+    templates maps a formula to its main_verdict inequalities without
+    their left sides; it is filled by main_verdict.  weight is what the
+    face cache charges for the face (see _FaceCache).
+    """
+
+    __slots__ = (
+        "key", "equality_set", "relations", "oplus_table", "atoms",
+        "power_bounds", "min_inf", "length_extremes", "nodes", "templates",
+        "weight",
+    )
+
+
+_SHARED_PAIRS = 16  # faces with m <= 16 share their pair tuples
+
+
+@cache
+def _shared_pairs():
+    """The pairs (a, b) with a, b < _SHARED_PAIRS, indexed [a][b].
+
+    Every face with m <= _SHARED_PAIRS takes its tight pairs, relations
+    and length extremes (lengths stay below m) from this table, so the
+    pair tuples of the cached faces are held once.
+    """
+    return tuple([
+        tuple([(a, b) for b in range(_SHARED_PAIRS)])
+        for a in range(_SHARED_PAIRS)
+    ])
+
+
+def _build_face(key, meter):
+    """The face with the given key, built with the budget."""
+    m, flags = key
+    if m <= _SHARED_PAIRS:
+        rows = _shared_pairs()
+
+        def pair(a, b):
+            return rows[a][b]
+    else:
+        def pair(a, b):
+            return (a, b)
     # (a, b) is tight iff a <= a + b in the poset, and then a (+) b is the
     # residue a + b; every other entry of the operation table is INFINITY.
     # A nonzero residue is composite iff it is a (+) b for nonzero a, b.
     tight = set()
+    relations = set()
     table = [[INFINITY] * m for _ in range(m)]
     composite = set()
-    for a in range(m):
-        for b in range(a, m):
+    pairs = ((a, b) for a in range(m) for b in range(a, m))
+    for (a, b), flag in zip(pairs, flags):
+        if flag:
             s = (a + b) % m
-            gap = x[a] + x[b] + (a + b) // m - x[s]
-            if gap < 0:
-                raise InequalityViolatedError((a, b))
-            if gap == 0:
-                tight.add((a, b))
-                tight.add((b, a))
-                table[a][b] = table[b][a] = s
-                if a and s:
-                    composite.add(s)
-    relations = frozenset([(a, (a + b) % m) for a, b in tight])
+            tight.update((pair(a, b), pair(b, a)))
+            relations.update((pair(a, s), pair(b, s)))
+            table[a][b] = table[b][a] = s
+            if a and s:
+                composite.add(s)
+    face = _Face()
+    face.key = key
+    face.equality_set = frozenset(tight)
+    face.relations = frozenset(relations)
     # From lists: tuple(genexpr) resizes, which fills the free lists.
-    oplus_table = tuple([tuple(row) for row in table])
-    atoms = tuple([a for a in range(1, m) if a not in composite])
+    face.oplus_table = oplus_table = tuple([tuple(row) for row in table])
+    face.atoms = atoms = tuple([a for a in range(1, m) if a not in composite])
 
     # t_a = least k with the k-fold product of a equal to INFINITY; the
     # power chain is strictly increasing in a finite poset, so k <= m + 1.
@@ -179,29 +275,73 @@ def kunz_point(m, coords, budget=None):
             power = oplus_table[power][a]
             k += 1
         bounds.append(k)
-    power_bounds = tuple(bounds)
+    face.power_bounds = tuple(bounds)
 
-    min_inf, length_extremes = _atom_walk(
-        m, oplus_table, atoms, power_bounds, meter
+    before = meter.remaining
+    face.min_inf, face.length_extremes = _atom_walk(
+        m, oplus_table, atoms, face.power_bounds, meter, pair
     )
-    images = _images(m, x, atoms)
-    evaluations = {f.c: sum(map(mul, f.c, images)) for f in min_inf}
-
-    return KunzPoint(
-        m=m,
-        x=x,
-        equality_set=frozenset(tight),
-        relations=relations,
-        oplus_table=oplus_table,
-        atoms=atoms,
-        power_bounds=power_bounds,
-        min_inf=min_inf,
-        length_extremes=length_extremes,
-        evaluations=evaluations,
-    )
+    face.nodes = before - meter.remaining
+    face.templates = {}
+    face.weight = (m + 2) ** 2 + len(face.min_inf) * (len(atoms) + 1)
+    return face
 
 
-def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
+class _FaceCache:
+    """Faces by key, least recently used first, within a total weight.
+
+    A face weighs (m + 2)**2 for its order tables plus len(atoms) + 1 for
+    each minimal INFINITY vector, and each main_verdict template adds
+    m + 1: the entries it holds, so that the weight tracks its memory
+    (budget.py gives the bytes per unit).  A face heavier than the whole
+    bound is returned to its caller but never stored.  The hit and miss
+    counts are kept for the observability counters.
+    """
+
+    __slots__ = ("bound", "faces", "weight", "hits", "misses")
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.faces = OrderedDict()
+        self.weight = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        face = self.faces.get(key)
+        if face is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.faces.move_to_end(key)
+        return face
+
+    def put(self, face):
+        if face.weight <= self.bound:
+            self.faces[face.key] = face
+            self.weight += face.weight
+            self._trim()
+
+    def grow(self, face, extra):
+        """Add extra to the weight of a face, stored or not."""
+        face.weight += extra
+        if self.faces.get(face.key) is face:
+            self.weight += extra
+            if face.weight > self.bound:
+                del self.faces[face.key]
+                self.weight -= face.weight
+            self._trim()
+
+    def _trim(self):
+        while self.weight > self.bound:
+            _, face = self.faces.popitem(last=False)
+            self.weight -= face.weight
+
+
+_FACES = _FaceCache(FACE_CACHE_WEIGHT)
+
+
+def _atom_walk(m, oplus_table, atoms, power_bounds, meter, pair):
     """Minimal INFINITY factorizations and per-residue length extremes.
 
     One depth-first walk over the atom coordinates, in lexicographic order,
@@ -219,6 +359,8 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
     walk node costs one budget node, every product in the minimality test
     one node per oplus step and every recorded factorization one node per
     coordinate.  Hits come in lexicographic order, so min_inf does too.
+    pair(hi, lo) makes each (longest, shortest) pair, so that faces can
+    share them.
     """
     n = len(atoms)
     counts = [0] * n
@@ -285,7 +427,7 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
             break
     # From a list: tuple(genexpr) resizes, which fills the free lists.
     extremes = tuple([
-        (hi, lo) if hi >= 0 else None for hi, lo in zip(longest, shortest)
+        pair(hi, lo) if hi >= 0 else None for hi, lo in zip(longest, shortest)
     ])
     return tuple(min_inf), extremes
 
@@ -326,7 +468,10 @@ def pinfty_length_extremes(point, beta):
 
     Read from the extremes recorded by the atom walk at construction.
     """
-    in_range = isinstance(beta, int) and 0 <= beta < point.m
+    in_range = (
+        isinstance(beta, int) and not isinstance(beta, bool)
+        and 0 <= beta < point.m
+    )
     extremes = point.length_extremes[beta] if in_range else None
     if extremes is None:
         raise NoFactorizationError(
@@ -515,10 +660,12 @@ def main_verdict(point, formula):
     violates one.  Shortest: for every minimal c, require
     -x_beta + sum c_a x_a <= |c| - d_(c) - l(beta).  Restricting to
     pseudominimal vectors is not sound (failures need not descend along
-    evaluation divisibility), so all minimal vectors are checked; points
-    on one face interior therefore share the same inequality templates.
-    Every valid point is reduced (see is_reduced_point); when m is not an
-    atom, MNotAtomAtPointError carries the first factorization of m.
+    evaluation divisibility), so all minimal vectors are checked.  Points
+    on one face interior therefore share the same inequality templates
+    (c, beta, coeffs, rhs): they are built on the first call for the face
+    and formula and kept with the face, so a call computes only the left
+    sides.  Every valid point is reduced (see is_reduced_point); when m is
+    not an atom, MNotAtomAtPointError carries the first factorization of m.
     """
     formula = _as_formula(formula)
     _require_point(point)
@@ -528,36 +675,50 @@ def main_verdict(point, formula):
             f"m factors over the coordinate elements with multiplicities "
             f"{witness} on residues 1..{point.m - 1}"
         )
-    atoms = point.atoms
+    longest = formula is Formula.LONGEST
+    relation = ">=" if longest else "<="
     x = point.x
+    # coeffs . x, read as sum c_a x_a over the atoms minus x_beta.
+    atom_x = [x[a] for a in point.atoms]
     checks = []
-    for f in point.min_inf:
-        if formula is Formula.LONGEST and sum(f.c) <= 2:
-            continue
-        longest, shortest = pinfty_length_extremes(point, f.beta)
-        quotient_length = longest if formula is Formula.LONGEST else shortest
-        rhs = sum(f.c) - f.d_value - quotient_length
-        coeffs = [0] * point.m
-        for a, count in zip(atoms, f.c):
-            coeffs[a] += count
-        coeffs[f.beta] -= 1
-        lhs = sum(co * xi for co, xi in zip(coeffs, x))
-        checks.append(
-            KunzInequality(
-                c=f.c,
-                beta=f.beta,
-                coeffs=tuple(coeffs),
-                relation=">=" if formula is Formula.LONGEST else "<=",
-                rhs=rhs,
-                lhs_value=lhs,
-            )
-        )
-    # From a list: tuple(genexpr) resizes, which fills the free lists.
-    counterexamples = tuple([c for c in checks if not c.ok])
+    counterexamples = []
+    for c, beta, coeffs, rhs in _templates(point, formula):
+        lhs = sum(map(mul, c, atom_x)) - x[beta]
+        check = KunzInequality(c, beta, coeffs, relation, rhs, lhs)
+        checks.append(check)
+        if (lhs < rhs) if longest else (lhs > rhs):
+            counterexamples.append(check)
     return KunzVerdict(
         formula=formula,
         m=point.m,
         holds=not counterexamples,
         checks=tuple(checks),
-        counterexamples=counterexamples,
+        counterexamples=tuple(counterexamples),
     )
+
+
+def _templates(point, formula):
+    """The inequality templates (c, beta, coeffs, rhs) of main_verdict at
+    the point's face, built on the first call for the face and formula."""
+    face = point._face
+    templates = face.templates.get(formula) if face is not None else None
+    if templates is not None:
+        return templates
+    longest = formula is Formula.LONGEST
+    m = point.m
+    templates = []
+    for f in point.min_inf:
+        if longest and sum(f.c) <= 2:
+            continue
+        extremes = pinfty_length_extremes(point, f.beta)
+        rhs = sum(f.c) - f.d_value - extremes[0 if longest else 1]
+        coeffs = [0] * m
+        for a, count in zip(point.atoms, f.c):
+            coeffs[a] += count
+        coeffs[f.beta] -= 1
+        templates.append((f.c, f.beta, tuple(coeffs), rhs))
+    templates = tuple(templates)
+    if face is not None:
+        face.templates[formula] = templates
+        _FACES.grow(face, len(templates) * (m + 1))
+    return templates

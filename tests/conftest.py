@@ -27,6 +27,10 @@ on different machinery than the library paths they check:
   from lengths.length_table; the table in turn is checked value by value
   against the branch-and-bound search in
   test_lengths.py::test_length_table_matches_branch_and_bound.
+
+The Kunz scan builds the round trip of every point with the face cache
+off and compares it, field by field and verdict by verdict, with the
+point the cache served.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from math import gcd
 
 import pytest
 
+from sgfl import kunz
 from sgfl.errors import MNotAtomAtPointError
 from sgfl.kunz import (
     is_m_atom_point,
@@ -396,6 +401,7 @@ class ScanRecord:
     agree_shortest: bool | None = None
     iterated_inequality: bool = True
     d_identity: bool = True
+    matches_cache_off: bool = False
 
 
 _ctx_cache = {}
@@ -409,20 +415,58 @@ def _ctx(m):
     return ctx
 
 
+POINT_FIELDS = (
+    "x", "equality_set", "relations", "oplus_table", "atoms", "power_bounds",
+    "min_inf", "length_extremes", "evaluations",
+)
+
+
+def cache_off(build):
+    """build() with a face cache that stores nothing, so every face it
+    reads is built afresh."""
+    saved = kunz._FACES
+    kunz._FACES = kunz._FaceCache(0)
+    try:
+        return build()
+    finally:
+        kunz._FACES = saved
+
+
+def _verdict_or_refusal(point, formula):
+    try:
+        return main_verdict(point, formula)
+    except MNotAtomAtPointError as exc:
+        return str(exc)
+
+
 def scan_one_point(args):
     m, coords = args
     ctx = _ctx(m)
     point = kunz_point(ctx, coords)
     S = semigroup_of_point(ctx, point)
+    # The round trip is built with the face cache off.  No cache holds
+    # its face, so its verdicts build their own templates.
+    back = cache_off(lambda: point_of_semigroup(ctx, S))
+    verdicts = {
+        formula: _verdict_or_refusal(point, formula)
+        for formula in ("longest", "shortest")
+    }
+    matches_cache_off = all(
+        getattr(point, name) == getattr(back, name) for name in POINT_FIELDS
+    ) and all(
+        verdict == _verdict_or_refusal(back, formula)
+        for formula, verdict in verdicts.items()
+    )
     m_atom = is_m_atom_point(point)
     record = ScanRecord(
         m=m,
         coords=coords,
         reduced=is_reduced_point(point),
-        roundtrip=point_of_semigroup(ctx, S).x == coords,
+        roundtrip=back.x == coords,
         m_atom=m_atom,
         m_atom_matches=m_atom == (m in S.atoms),
         face_key=(m, tuple(sorted(point.equality_set))),
+        matches_cache_off=matches_cache_off,
     )
     atoms, m_in_span = coordinate_atoms(m, coords)
     record.atoms_match = S.atoms == atoms
@@ -447,15 +491,10 @@ def scan_one_point(args):
     if not record.m_atom_matches:
         return record
     if not record.m_atom:
-        try:
-            main_verdict(point, "longest")
-        except MNotAtomAtPointError as exc:
-            record.witness_matches = str(exc) == (
-                "m factors over the coordinate elements with multiplicities "
-                f"{m_factorization(m, coords)} on residues 1..{m - 1}"
-            )
-        else:
-            record.witness_matches = False
+        record.witness_matches = verdicts["longest"] == (
+            "m factors over the coordinate elements with multiplicities "
+            f"{m_factorization(m, coords)} on residues 1..{m - 1}"
+        )
         return record
 
     report = candidate_sets(S, m, min_repl(S, m))
@@ -493,11 +532,11 @@ def scan_one_point(args):
     record.sq_matches_divides = ok
 
     record.agree_longest = (
-        main_verdict(point, "longest").holds
+        verdicts["longest"].holds
         == check_formula(S, m, "longest", report=report).holds
     )
     record.agree_shortest = (
-        main_verdict(point, "shortest").holds
+        verdicts["shortest"].holds
         == check_formula(S, m, "shortest", report=report).holds
     )
     return record

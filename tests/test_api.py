@@ -14,6 +14,7 @@ from sgfl import (
     BadModulusError,
     BudgetMeter,
     DimensionMismatchError,
+    NoFactorizationError,
     NotIntegerPointError,
     ReportMismatchError,
     SgflError,
@@ -27,6 +28,7 @@ from sgfl import (
     min_repl,
     new_semigroup,
     oracle_scan,
+    pinfty_length_extremes,
     point_of_semigroup,
     repl_contains,
     semigroup_of_point,
@@ -130,6 +132,11 @@ MALFORMED = {
     "new_semigroup-not-a-list": (SgflError, lambda: new_semigroup(5)),
     "kunz_point-coords-None": (
         NotIntegerPointError, lambda: kunz_point(5, None)),
+    "kunz_point-bool-coordinate": (
+        NotIntegerPointError, lambda: kunz_point(5, [0, True, 2, 1, 2])),
+    "pinfty_length_extremes-bool-beta": (
+        NoFactorizationError,
+        lambda: pinfty_length_extremes(kunz_point(5, M5_POINT), True)),
     "main_verdict-raw-coordinates": (
         SgflError, lambda: main_verdict(M5_POINT, "longest")),
     "cominimal-int-point": (
@@ -219,3 +226,7 @@ def test_every_sgfl_name_the_benchmark_reads_exists():
             "sgfl.semigroups:SemigroupPresentation"} <= owners
     missing = sorted(r for r in reads if not _exists(r[1], r[2]))
     assert missing == []
+    # tracing.py reads BudgetMeter.spend through a local variable, which
+    # the walk above cannot follow; every node a Kunz point spends, built
+    # or read from the face cache, goes through it.
+    assert _exists("sgfl.budget:BudgetMeter", "spend")

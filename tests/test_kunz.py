@@ -1,10 +1,18 @@
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
-from sgfl.budget import DEFAULT_BUDGET
+from sgfl import kunz
+from sgfl.budget import (
+    DEFAULT_BUDGET,
+    FACE_BYTES_PER_WEIGHT,
+    FACE_CACHE_WEIGHT,
+    BudgetMeter,
+)
 from sgfl.errors import (
     BadModulusError,
     BudgetExceededError,
@@ -36,6 +44,8 @@ from sgfl.semigroups import new_semigroup
 from sgfl.verdicts import check_formula
 
 from conftest import (
+    POINT_FIELDS,
+    cache_off,
     definitional_carry,
     enumerate_kunz_points,
     membership_table,
@@ -283,6 +293,128 @@ def test_point_builders_pass_their_budget_through():
             else:
                 with pytest.raises(BudgetExceededError):
                     build()
+
+
+@pytest.fixture
+def faces(monkeypatch):
+    """An empty face cache of the library's bound, for this test alone."""
+    cache = kunz._FaceCache(FACE_CACHE_WEIGHT)
+    monkeypatch.setattr(kunz, "_FACES", cache)
+    return cache
+
+
+def test_a_face_cache_hit_charges_what_a_miss_charges(faces, monkeypatch):
+    # m = 30 at (0, 1, ..., 1): every product of two atoms is INFINITY, so
+    # the atom walk records all 435 sums a + b; the face fits the cache.
+    m = 30
+    coords = [0] + [1] * (m - 1)
+    charges = []
+
+    class CountingMeter(BudgetMeter):
+        def __init__(self, budget=None):
+            super().__init__(budget)
+            charges.append(self)
+
+    monkeypatch.setattr(kunz, "BudgetMeter", CountingMeter)
+
+    def spent():
+        meter = charges[-1]
+        return meter.allowance - meter.remaining
+
+    kunz_point(m, coords)
+    charge = spent()
+    assert faces.misses == 1 and len(faces.faces) == 1
+    kunz_point(m, coords)
+    assert faces.hits == 1 and spent() == charge
+
+    # Exactly the charge: the cold build and the hit both succeed.
+    cache = kunz._FaceCache(FACE_CACHE_WEIGHT)
+    monkeypatch.setattr(kunz, "_FACES", cache)
+    kunz_point(m, coords, budget=charge)
+    assert kunz_point(m, coords, budget=charge).x == tuple(coords)
+    assert (cache.misses, cache.hits) == (1, 1)
+
+    # One node less: the cold build and the hit both raise.
+    cache = kunz._FaceCache(FACE_CACHE_WEIGHT)
+    monkeypatch.setattr(kunz, "_FACES", cache)
+    with pytest.raises(BudgetExceededError):
+        kunz_point(m, coords, budget=charge - 1)
+    assert not cache.faces
+    kunz_point(m, coords)
+    with pytest.raises(BudgetExceededError):
+        kunz_point(m, coords, budget=charge - 1)
+    assert (cache.misses, cache.hits) == (2, 1)
+
+
+def test_the_round_trip_of_a_point_reads_its_face_from_the_cache(faces):
+    p = kunz_point(7, [0, 1, 1, 2, 2, 3, 3])
+    assert (faces.hits, faces.misses) == (0, 1)
+    S = semigroup_of_point(7, p)
+    back = point_of_semigroup(7, S)
+    assert back == p and back._face is p._face
+    assert (faces.hits, faces.misses) == (1, 1)
+
+
+def test_face_cache_stays_within_its_weight_and_bytes(faces):
+    # One m = 100 face weighs more than the whole bound: it is built and
+    # returned, but not stored.
+    heavy = kunz_point(100, [0] + [1] * 99)
+    assert heavy._face.weight > FACE_CACHE_WEIGHT
+    assert faces.misses == 1 and faces.weight == 0 and not faces.faces
+    del heavy
+
+    # One point per face of the m = 8 points with coordinates <= 3, with
+    # both verdicts, so that the templates add their weight too, until
+    # half as many again as the cache holds have gone through it.
+    points = {
+        (8, kunz._tight_flags(8, x)): x for x in enumerate_kunz_points(8, 3)
+    }
+    pushed = {}
+    kunz._shared_pairs()  # the pair table is built once, outside the cache
+    gc.collect()  # empties the free lists, whose blocks tracemalloc misses
+    tracemalloc.start()
+    try:
+        for coords in points.values():
+            p = kunz_point(8, coords)
+            if is_m_atom_point(p):
+                main_verdict(p, "longest")
+                main_verdict(p, "shortest")
+            pushed[p._face.key] = p._face.weight
+            assert faces.weight <= FACE_CACHE_WEIGHT
+            if sum(pushed.values()) > 1.5 * FACE_CACHE_WEIGHT:
+                break
+        del p
+        assert faces.weight == sum(f.weight for f in faces.faces.values())
+        assert len(faces.faces) < len(pushed)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        weight = faces.weight
+        faces.faces.clear()
+        gc.collect()
+        held = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Full up to less than one face: it evicts only to make room.
+    assert weight > FACE_CACHE_WEIGHT - max(pushed.values())
+    assert held <= FACE_BYTES_PER_WEIGHT * weight <= (
+        FACE_BYTES_PER_WEIGHT * FACE_CACHE_WEIGHT
+    )
+
+
+def test_cached_points_match_cache_off_builds(kunz_scan):
+    # Every point at m <= 7 with coordinates <= 8 and both of its
+    # verdicts, from the face cache, equal a build with the cache off.
+    assert all(r.matches_cache_off for r in kunz_scan)
+
+
+def test_the_cache_off_differential_covers_every_point_field():
+    p = kunz_point(5, [0, 1, 2, 1, 2])
+    fresh = cache_off(lambda: kunz_point(5, [0, 1, 2, 1, 2]))
+    assert fresh._face is not p._face
+    assert set(POINT_FIELDS) == {
+        name for name in kunz.KunzPoint.__dataclass_fields__
+        if name not in ("m", "_face")
+    }
 
 
 def test_atom_searches_are_not_recursive():
