@@ -435,8 +435,14 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter, pair):
 # -- the point <-> semigroup correspondence -------------------------------
 
 def point_of_semigroup(m, S, budget=None):
-    """The Kunz coordinates of a numerical semigroup containing m."""
+    """The Kunz coordinates of a numerical semigroup containing m.
+
+    The m * m nodes that kunz_point charges first are charged here before
+    the Apery set of m is built, so a budget too small for the point fails
+    before that table's m entries are paid for.
+    """
     m = numerical_context(m)
+    BudgetMeter(budget).spend(m * m)
     apery = S.apery_set(m)  # raises for non-numerical S or m outside S
     return kunz_point(
         m, [(least - a) // m for a, least in enumerate(apery)], budget=budget

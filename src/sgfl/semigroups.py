@@ -27,8 +27,12 @@ GRADING_SEARCH_BOX = 50
 
 
 def _as_vector(value, dim):
-    """Coerce an element (int for dim 1, sequence otherwise) to a tuple."""
-    if isinstance(value, int):
+    """Coerce an element (int for dim 1, sequence otherwise) to a tuple.
+
+    A bool is refused as an element and as a coordinate, as kunz_point
+    refuses it: True is an int to Python but not a lattice point.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
         if dim != 1:
             raise DimensionMismatchError(
                 f"scalar element given for a dimension-{dim} semigroup"
@@ -42,7 +46,7 @@ def _as_vector(value, dim):
         raise DimensionMismatchError(
             f"element {vec} has length {len(vec)}, expected {dim}"
         )
-    if not all(isinstance(c, int) for c in vec):
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in vec):
         raise DimensionMismatchError(f"element {vec} has non-integer coordinates")
     return vec
 
@@ -82,57 +86,159 @@ def _least_per_residue(gens, modulus):
     return least
 
 
-class _MemberOracle:
-    """Decides membership of lattice vectors in the span of a generator list.
+def _find_grading(generators, dim):
+    ones = (1,) * dim
+    if all(_dot(ones, g) > 0 for g in generators):
+        return ones
+    if dim == 1:
+        raise NotPointedError("dimension-1 generators must be positive integers")
+    for radius in range(1, GRADING_SEARCH_BOX + 1):
+        for w in itertools.product(range(-radius, radius + 1), repeat=dim):
+            if max(abs(c) for c in w) != radius:
+                continue
+            if all(_dot(w, g) > 0 for g in generators):
+                return w
+    raise NotPointedError(
+        f"no positive grading with coordinates in [-{GRADING_SEARCH_BOX}, "
+        f"{GRADING_SEARCH_BOX}] exists for {generators}"
+    )
 
-    Dimension 1 keeps one table, the least element per residue class modulo
-    the smallest generator n1: n is in the span iff n is at least the entry
+
+class SemigroupPresentation:
+    """A presentation of a pointed semigroup in Z^d, and its membership test.
+
+    new_semigroup returns validated minimal presentations.  While it and
+    minimal_generating_subset test each generator, they also build one over
+    the other generators (unvalidated, gcd None), and use only its private
+    membership methods.
+
+    Dimension-1 membership keeps the least element of S per residue class
+    modulo the smallest generator n1: n is in S iff n is at least the entry
     for n mod n1 (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).
-    The table is built on the first query n >= n1; below n1 only 0 is in the
-    span, so a query smaller than n1 never pays for n1 entries.
-    contains_int is that test on a bare int: SemigroupPresentation sends
-    dimension-1 ints straight to it, and the vector contains unwraps its
-    one coordinate.
+    That table is built on the first query n >= n1; below n1 only 0 is in
+    S, so a query smaller than n1 never pays for n1 entries.  Every residue
+    table, the one modulo n1 and each Apery set, is built once and kept in
+    one cache keyed by modulus.
     Higher dimensions use an iterative depth-first search on residual
     vectors, ordered by decreasing grading value, memoized on the residual.
     A residual with a negative grading value is rejected immediately, which
     bounds the search because w(g) >= 1 for every generator.
+
+    Instances are not changed after construction, apart from the residue
+    tables and the affine memo, which only gain entries that are
+    deterministic functions of the presentation.
     """
 
-    def __init__(self, generators, grading, dim):
+    def __init__(self, generators, dim, grading, generator_gcd):
         self.dim = dim
+        self.generators = generators  # tuple of coordinate tuples
         self.grading = grading
-        self.generators = tuple(generators)
+        self.gcd = generator_gcd  # None unless dim == 1
         self._zero = (0,) * dim
+        # self.atoms: the generators as elements (ints when dim == 1).
         if dim == 1:
-            self.modulus = min(g[0] for g in self.generators)
-            self._least = None
+            self.atoms = tuple([g for (g,) in generators])
+            self._tables = {}  # modulus -> least element per residue
+            self._n1 = min(self.atoms)
+            self._least = None  # self._tables[self._n1], once built
         else:
+            self.atoms = generators
             self._memo = {}
             self._gens_dec = sorted(
-                self.generators, key=lambda g: (-_dot(grading, g), g)
+                generators, key=lambda g: (-_dot(grading, g), g)
             )
 
-    def contains(self, vec):
-        if self.dim == 1:
-            return self.contains_int(vec[0])
-        return self._contains_affine(vec)
+    # -- basic views ----------------------------------------------------
 
-    def contains_int(self, n):
+    @property
+    def is_numerical(self):
+        return self.dim == 1 and self.gcd == 1
+
+    def element(self, value):
+        """Validate and normalize an element of the ambient lattice."""
+        return _as_element(_as_vector(value, self.dim), self.dim)
+
+    def vector(self, value):
+        return _as_vector(value, self.dim)
+
+    def grading_value(self, value):
+        return _dot(self.grading, _as_vector(value, self.dim))
+
+    def generator_index(self, value):
+        vec = _as_vector(value, self.dim)
+        try:
+            return self.generators.index(vec)
+        except ValueError:
+            return None
+
+    def __repr__(self):
+        gens = ", ".join(str(a) for a in self.atoms)
+        return f"SemigroupPresentation<{gens}>"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SemigroupPresentation)
+            and self.dim == other.dim
+            and self.generators == other.generators
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.generators))
+
+    # -- membership and divisibility ------------------------------------
+
+    def contains(self, value):
+        """True iff value is an N-combination of the generators."""
+        if type(value) is int and self.dim == 1:
+            return self._has_int(value)
+        return self._has(_as_vector(value, self.dim))
+
+    def divides(self, a, b):
+        """True iff b - a lies in the semigroup."""
+        if type(a) is int and type(b) is int and self.dim == 1:
+            return self._has_int(b - a)
+        return self._has(_sub(_as_vector(b, self.dim), _as_vector(a, self.dim)))
+
+    def combination_of(self, value):
+        """Counts over the generators summing to value, or None."""
+        current = _as_vector(value, self.dim)
+        if not self._has(current):
+            return None
+        counts = [0] * len(self.generators)
+        while current != self._zero:
+            for i, g in enumerate(self.generators):
+                child = _sub(current, g)
+                if _dot(self.grading, child) >= 0 and self._has(child):
+                    counts[i] += 1
+                    current = child
+                    break
+            else:  # pragma: no cover - impossible when membership holds
+                raise AssertionError("witness reconstruction failed")
+        return tuple(counts)
+
+    def _table(self, modulus):
+        """Least element of S in each residue class modulo modulus."""
+        table = self._tables.get(modulus)
+        if table is None:
+            table = _least_per_residue(self.atoms, modulus)
+            self._tables[modulus] = table
+        return table
+
+    def _has_int(self, n):
         """Dimension-1 membership of the int n."""
-        if n < self.modulus:
+        n1 = self._n1
+        if n < n1:
             return n == 0
-        least = self.least_per_residue()[n % self.modulus]
+        table = self._least
+        if table is None:
+            table = self._least = self._table(n1)
+        least = table[n % n1]
         return least is not None and n >= least
 
-    def least_per_residue(self):
-        """The dimension-1 table modulo n1, built on first use."""
-        if self._least is None:
-            gens = [g[0] for g in self.generators]
-            self._least = _least_per_residue(gens, self.modulus)
-        return self._least
-
-    def _contains_affine(self, vec):
+    def _has(self, vec):
+        """Membership of a validated coordinate tuple."""
+        if self.dim == 1:
+            return self._has_int(vec[0])
         if vec == self._zero:
             return True
         memo = self._memo
@@ -181,128 +287,6 @@ class _MemberOracle:
                 stack.pop()
         return memo[vec]
 
-
-def _find_grading(generators, dim):
-    ones = (1,) * dim
-    if all(_dot(ones, g) > 0 for g in generators):
-        return ones
-    if dim == 1:
-        raise NotPointedError("dimension-1 generators must be positive integers")
-    for radius in range(1, GRADING_SEARCH_BOX + 1):
-        for w in itertools.product(range(-radius, radius + 1), repeat=dim):
-            if max(abs(c) for c in w) != radius:
-                continue
-            if all(_dot(w, g) > 0 for g in generators):
-                return w
-    raise NotPointedError(
-        f"no positive grading with coordinates in [-{GRADING_SEARCH_BOX}, "
-        f"{GRADING_SEARCH_BOX}] exists for {generators}"
-    )
-
-
-def _combination_witness(target, generators, oracle):
-    """Express target as counts over generators, assuming membership holds."""
-    counts = [0] * len(generators)
-    zero = (0,) * len(target)
-    current = target
-    grading = oracle.grading
-    while current != zero:
-        for i, g in enumerate(generators):
-            child = _sub(current, g)
-            if _dot(grading, child) >= 0 and oracle.contains(child):
-                counts[i] += 1
-                current = child
-                break
-        else:  # pragma: no cover - impossible when membership holds
-            raise AssertionError("witness reconstruction failed")
-    return tuple(counts)
-
-
-class SemigroupPresentation:
-    """A validated minimal presentation of a pointed semigroup in Z^d.
-
-    Instances are not changed after construction, apart from the affine
-    membership memo, the dimension-1 residue table (built on first use) and
-    the Apery cache, which only gain entries that are deterministic
-    functions of the presentation.
-    """
-
-    def __init__(self, generators, dim, grading, generator_gcd):
-        self.dim = dim
-        self.generators = generators  # tuple of coordinate tuples
-        self.grading = grading
-        self.gcd = generator_gcd  # None unless dim == 1
-        self._oracle = _MemberOracle(generators, grading, dim)
-        self._apery_cache = {}
-
-    # -- basic views ----------------------------------------------------
-
-    @property
-    def atoms(self):
-        """The generators, as elements (ints when dim == 1)."""
-        # From a list: tuple(genexpr) grows by resizing, and each resized
-        # tuple lands on a CPython free list it was not taken from, so the
-        # free lists fill (up to 2000 tuples per size) and RSS drifts up.
-        return tuple([_as_element(g, self.dim) for g in self.generators])
-
-    @property
-    def is_numerical(self):
-        return self.dim == 1 and self.gcd == 1
-
-    def element(self, value):
-        """Validate and normalize an element of the ambient lattice."""
-        return _as_element(_as_vector(value, self.dim), self.dim)
-
-    def vector(self, value):
-        return _as_vector(value, self.dim)
-
-    def grading_value(self, value):
-        return _dot(self.grading, _as_vector(value, self.dim))
-
-    def generator_index(self, value):
-        vec = _as_vector(value, self.dim)
-        try:
-            return self.generators.index(vec)
-        except ValueError:
-            return None
-
-    def __repr__(self):
-        gens = ", ".join(str(a) for a in self.atoms)
-        return f"SemigroupPresentation<{gens}>"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemigroupPresentation)
-            and self.dim == other.dim
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.generators))
-
-    # -- membership and divisibility ------------------------------------
-
-    def contains(self, value):
-        """True iff value is an N-combination of the generators."""
-        if self.dim == 1 and isinstance(value, int):
-            return self._oracle.contains_int(value)
-        return self._oracle.contains(_as_vector(value, self.dim))
-
-    def divides(self, a, b):
-        """True iff b - a lies in the semigroup."""
-        if self.dim == 1 and isinstance(a, int) and isinstance(b, int):
-            return self._oracle.contains_int(b - a)
-        return self._oracle.contains(
-            _sub(_as_vector(b, self.dim), _as_vector(a, self.dim))
-        )
-
-    def combination_of(self, value):
-        """Counts over the generators summing to value, or None."""
-        vec = _as_vector(value, self.dim)
-        if not self._oracle.contains(vec):
-            return None
-        return _combination_witness(vec, self.generators, self._oracle)
-
     # -- numerical-only primitives ---------------------------------------
 
     def _require_numerical(self):
@@ -317,18 +301,22 @@ class SemigroupPresentation:
         m = self.element(m)
         if m <= 0 or not self.contains(m):
             raise MNotInSError(f"{m} is not a nonzero element of {self!r}")
-        if m == self._oracle.modulus:
-            return list(self._oracle.least_per_residue())
-        cached = self._apery_cache.get(m)
-        if cached is None:
-            gens = [g[0] for g in self.generators]
-            cached = self._apery_cache[m] = tuple(_least_per_residue(gens, m))
-        return list(cached)
+        return list(self._table(m))
 
     def frobenius(self):
         """Largest integer outside S (-1 when S is all of N)."""
         self._require_numerical()
-        return max(self._oracle.least_per_residue()) - self._oracle.modulus
+        return max(self._table(self._n1)) - self._n1
+
+
+def _non_atoms(vecs, dim, grading):
+    """Yield (v, span of the others) for each v in vecs that lies in it."""
+    for i, v in enumerate(vecs):
+        others = tuple(vecs[:i] + vecs[i + 1 :])
+        if others:
+            span = SemigroupPresentation(others, dim, grading, None)
+            if span._has(v):
+                yield v, span
 
 
 def minimal_generating_subset(vectors, dim):
@@ -346,17 +334,8 @@ def minimal_generating_subset(vectors, dim):
             seen.append(vec)
     if not seen:
         raise NotPointedError("no nonzero generators supplied")
-    grading = _find_grading(seen, dim)
-    kept = []
-    for i, v in enumerate(seen):
-        others = seen[:i] + seen[i + 1 :]
-        if not others:
-            kept.append(v)
-            continue
-        oracle = _MemberOracle(tuple(others), grading, dim)
-        if not oracle.contains(v):
-            kept.append(v)
-    return kept
+    dropped = {v for v, _ in _non_atoms(seen, dim, _find_grading(seen, dim))}
+    return [v for v in seen if v not in dropped]
 
 
 def new_semigroup(generators, dim=None):
@@ -394,19 +373,10 @@ def new_semigroup(generators, dim=None):
             raise NotMinimalError(_as_element(v, dim), "a duplicate generator")
 
     grading = _find_grading(vecs, dim)
-    for i, v in enumerate(vecs):
-        others = tuple(vecs[:i] + vecs[i + 1 :])
-        if not others:
-            continue
-        oracle = _MemberOracle(others, grading, dim)
-        if oracle.contains(v):
-            witness = _combination_witness(v, others, oracle)
-            parts = [
-                f"{c}*{_as_element(g, dim)}"
-                for c, g in zip(witness, others)
-                if c
-            ]
-            raise NotMinimalError(_as_element(v, dim), " + ".join(parts))
+    for v, others in _non_atoms(vecs, dim, grading):
+        witness = others.combination_of(v)
+        parts = [f"{c}*{a}" for c, a in zip(witness, others.atoms) if c]
+        raise NotMinimalError(_as_element(v, dim), " + ".join(parts))
 
     generator_gcd = None
     if dim == 1:

@@ -51,7 +51,6 @@ from sgfl.kunz import (
     is_reduced_point,
     kunz_point,
     main_verdict,
-    numerical_context,
     point_of_semigroup,
     semigroup_of_point,
     sq_leq,
@@ -404,17 +403,6 @@ class ScanRecord:
     matches_cache_off: bool = False
 
 
-_ctx_cache = {}
-
-
-def _ctx(m):
-    ctx = _ctx_cache.get(m)
-    if ctx is None:
-        ctx = numerical_context(m)
-        _ctx_cache[m] = ctx
-    return ctx
-
-
 POINT_FIELDS = (
     "x", "equality_set", "relations", "oplus_table", "atoms", "power_bounds",
     "min_inf", "length_extremes", "evaluations",
@@ -441,12 +429,11 @@ def _verdict_or_refusal(point, formula):
 
 def scan_one_point(args):
     m, coords = args
-    ctx = _ctx(m)
-    point = kunz_point(ctx, coords)
-    S = semigroup_of_point(ctx, point)
+    point = kunz_point(m, coords)
+    S = semigroup_of_point(m, point)
     # The round trip is built with the face cache off.  No cache holds
     # its face, so its verdicts build their own templates.
-    back = cache_off(lambda: point_of_semigroup(ctx, S))
+    back = cache_off(lambda: point_of_semigroup(m, S))
     verdicts = {
         formula: _verdict_or_refusal(point, formula)
         for formula in ("longest", "shortest")
@@ -482,7 +469,7 @@ def scan_one_point(args):
         if lhs < point.x[beta]:
             record.iterated_inequality = False
         c2 = [rng.randint(0, 3) for _ in range(m)]
-        if structure_constants(ctx, c, c2, range(m)) != (
+        if structure_constants(m, c, c2, range(m)) != (
             definitional_carry(m, c),
             definitional_threshold(m, c, c2),
         ):

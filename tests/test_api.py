@@ -143,6 +143,17 @@ MALFORMED = {
         SgflError, lambda: cominimal(kunz_point(5, M5_POINT), 5)),
     "repl_contains-short-vector": (
         DimensionMismatchError, lambda: repl_contains(CHICKEN, 10, (1, 2))),
+    # True is an int to Python, not a lattice point.
+    "new_semigroup-bool-generator": (
+        DimensionMismatchError, lambda: new_semigroup([True, 3])),
+    "contains-bool": (
+        DimensionMismatchError, lambda: new_semigroup([2, 3]).contains(True)),
+    "divides-bool": (
+        DimensionMismatchError,
+        lambda: new_semigroup([2, 3]).divides(True, 3)),
+    "contains-bool-coordinate": (
+        DimensionMismatchError,
+        lambda: new_semigroup([(1, 0), (0, 1)], dim=2).contains((True, 0))),
 }
 
 

@@ -295,6 +295,23 @@ def test_point_builders_pass_their_budget_through():
                     build()
 
 
+def test_point_of_semigroup_charges_before_the_apery_table():
+    # The Apery set of 10**6 has 10**6 entries; the 10**12 nodes that
+    # kunz_point would charge for the point are refused before it is built.
+    S = new_semigroup([2, 3])
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceededError):
+            point_of_semigroup(10**6, S, budget=10)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 10**6
+
+
 @pytest.fixture
 def faces(monkeypatch):
     """An empty face cache of the library's bound, for this test alone."""

@@ -15,7 +15,7 @@ from sgfl import semigroups
 from sgfl.kunz import kunz_point, numerical_context, semigroup_of_point
 from sgfl.semigroups import minimal_generating_subset, new_semigroup
 
-from conftest import membership_table
+from conftest import affine_span, membership_table, sample_affine_atom_sets
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,67 @@ def test_combination_witness(chicken):
     counts = chicken.combination_of(48)
     assert sum(c * g for c, g in zip(counts, chicken.atoms)) == 48
     assert chicken.combination_of(11) is None
+
+
+AFFINE_WBOUND = 9
+
+
+def _affine_cases():
+    """The sampled atom sets of [0,4]^2, and one whose grading is not (1, 1)."""
+    return [new_semigroup(atoms, dim=2) for atoms in sample_affine_atom_sets()] + [
+        new_semigroup([(1, -1), (0, 1)], dim=2)
+    ]
+
+
+def _graded_box(S, reach, wbound):
+    """The points of [-reach, reach]^d whose grading value is within wbound."""
+    return [
+        v
+        for v in itertools.product(range(-reach, reach + 1), repeat=S.dim)
+        if abs(S.grading_value(v)) <= wbound
+    ]
+
+
+def test_affine_membership_matches_the_graded_span():
+    cases = _affine_cases()
+    assert cases[-1].grading != (1, 1)
+    for S in cases:
+        span = affine_span(S.generators, S.grading, AFFINE_WBOUND)
+        box = _graded_box(S, AFFINE_WBOUND, AFFINE_WBOUND)
+        assert span <= set(box)
+        for v in box:
+            assert S.contains(v) == (v in span), (S, v)
+        # Differences of these stay within the span's grading bound.
+        near = _graded_box(S, 3, AFFINE_WBOUND // 2)
+        for a in near:
+            for b in near:
+                diff = tuple(y - x for x, y in zip(a, b))
+                assert S.divides(a, b) == (diff in span), (S, a, b)
+
+
+def test_affine_combination_sums_back_to_its_value():
+    for S in _affine_cases():
+        span = affine_span(S.generators, S.grading, AFFINE_WBOUND)
+        for v in _graded_box(S, AFFINE_WBOUND, AFFINE_WBOUND):
+            counts = S.combination_of(v)
+            if v not in span:
+                assert counts is None, (S, v)
+                continue
+            assert min(counts) >= 0
+            total = tuple(
+                sum(c * g[j] for c, g in zip(counts, S.generators))
+                for j in range(S.dim)
+            )
+            assert total == v, (S, v, counts)
+
+
+def test_affine_non_atom_names_its_witness():
+    with pytest.raises(NotMinimalError) as info:
+        new_semigroup([(2, 0), (3, 1), (5, 1)], dim=2)
+    assert info.value.generator == (5, 1)
+    assert str(info.value) == (
+        "generator (5, 1) factors over the others as 1*(2, 0) + 1*(3, 1)"
+    )
 
 
 def _seeded_numerical_lists(seed, count):
