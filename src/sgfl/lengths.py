@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, repeat
+from operator import sub
 
 from .budget import BudgetMeter
 from .errors import MNotAtomError, NotInSemigroupError, NotNumericalError
@@ -53,6 +54,12 @@ def _walk(S, v, maximize, budget):
     grading over the cheapest / dearest remaining atom grading) cannot beat
     the incumbent, and records only improvements, so the last record is the
     lex-smallest factorization of extremal length.
+
+    The walk is a loop over explicit frames, one per atom but the last:
+    frame i holds the count of atom i on the current path, the residual
+    and residual grading left after it, and the length so far.  Each node
+    is charged one budget node and tested against the incumbent as it is
+    entered, in the order of the recursive walk.
     """
     vec = S.vector(v)
     meter = BudgetMeter(budget)
@@ -64,39 +71,53 @@ def _walk(S, v, maximize, budget):
         return []
     # Extremal grading value among atoms i..k-1, for the completion bound.
     suffix = [(min if maximize else max)(wg[i:]) for i in range(k)]
+    last = k - 1
+    g_last, w_last = gens[last], wg[last]
+    counts = [0] * last
+    rests = [vec] * last
+    wrests = [0] * last
+    totals = [0] * last
+    spend = meter.spend
     found = []
     best = None  # length of the incumbent; stays None when recording all
-    prefix = []
-
-    def rec(i, res, wres, count):
-        nonlocal best
-        meter.spend()
-        if best is not None:
-            if maximize:
-                if count + wres // suffix[i] <= best:
-                    return
-            elif count + -(-wres // suffix[i]) >= best:
-                return
-        if i == k - 1:
-            q, r = divmod(wres, wg[i])
-            if r == 0 and all(rc == q * gc for rc, gc in zip(res, gens[i])):
+    i, res, wres, count = 0, vec, wv, 0
+    while True:
+        # Enter node (i, res, wres, count).
+        spend()
+        if best is None or (
+            count + wres // suffix[i] > best
+            if maximize
+            else count + -(-wres // suffix[i]) < best
+        ):
+            if i < last:
+                # Its first child takes no copy of atom i.
+                counts[i] = 0
+                rests[i] = res
+                wrests[i] = wres
+                totals[i] = count
+                i += 1
+                continue
+            q, r = divmod(wres, w_last)
+            if r == 0 and res == tuple(map(q.__mul__, g_last)):
                 total = count + q
                 if best is None or (total > best if maximize else total < best):
-                    found.append(tuple(prefix) + (q,))
+                    found.append((*counts, q))
                     if maximize is not None:
                         best = total
-            return
-        child = res
-        g = gens[i]
-        wgi = wg[i]
-        for c in range(wres // wgi + 1):
-            prefix.append(c)
-            rec(i + 1, child, wres - c * wgi, count + c)
-            prefix.pop()
-            child = tuple(rc - gc for rc, gc in zip(child, g))
-
-    rec(0, vec, wv, 0)
-    return found
+        # Move to the next sibling of the deepest frame that has one.
+        i -= 1
+        while i >= 0:
+            wres = wrests[i] - wg[i]
+            if wres >= 0:
+                break
+            i -= 1
+        else:
+            return found
+        counts[i] += 1
+        wrests[i] = wres
+        res = rests[i] = tuple(map(sub, rests[i], gens[i]))
+        count = totals[i] = totals[i] + 1
+        i += 1
 
 
 def factorizations(S, v, budget=None):

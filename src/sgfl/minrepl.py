@@ -30,11 +30,11 @@ _min_repl_affine for the invariant that makes these tests complete).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import le
+from operator import add, le, mul
 
 from .budget import BudgetMeter
 from .errors import DimensionMismatchError, MNotAtomError, ReportMismatchError
-from .semigroups import _as_element, _dot, _sub
+from .semigroups import _as_element, _sub
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,13 @@ def _min_repl_affine(S, m_vec, c_atoms, meter):
     dominate away the oscillations the cancelling +a/-a pairs would
     otherwise sustain.
 
+    A state extends along the columns i with <defect, column_i> < 0, its
+    descent set.  Every column is plus or minus an atom, so the set is
+    read off one dot product per atom: a c-column descends when the dot
+    with its atom is negative, a b-column when the dot with its atom is
+    positive, and the t-column when the dot with m is positive.  The set
+    is kept per defect as (index, column) pairs in column order.
+
     Pruning is indexed by one invariant: every state on the frontier of
     level L has coordinate sum L and was, when it was created, dominated
     by no solution and its c-part by no projection of a lower level.  A
@@ -207,12 +214,19 @@ def _min_repl_affine(S, m_vec, c_atoms, meter):
     the linear scan over every known solution.
     """
     dim = S.dim
-    c_cols = list(c_atoms)
-    b_cols = [tuple(-x for x in g) for g in S.generators]
-    cols = c_cols + b_cols + [tuple(-x for x in m_vec)]
-    nc = len(c_cols)
-    t_index = len(cols) - 1
-    nvars = len(cols)
+    gens = S.generators
+    mi = gens.index(m_vec)
+    nc = len(c_atoms)
+    t_index = nc + len(gens)
+    nvars = t_index + 1
+    cols = (
+        list(c_atoms)
+        + [tuple(-x for x in g) for g in gens]
+        + [tuple(-x for x in m_vec)]
+    )
+    c_pairs = list(enumerate(cols[:nc]))
+    b_pairs = list(enumerate(cols[nc:t_index], nc))
+    t_pair = (t_index, cols[t_index])
     zero_defect = (0,) * dim
 
     projections = []  # known members of Repl; minimal ones survive at the end
@@ -220,7 +234,7 @@ def _min_repl_affine(S, m_vec, c_atoms, meter):
     # included) resp. the projections carrying that value there.
     solutions_at = {}
     projections_at = {}
-    descents = {}  # defect -> the columns i with <defect, column_i> < 0
+    descents = {}  # defect -> its descent set as (index, column) pairs
 
     def index(buckets, vec):
         for i, v in enumerate(vec):
@@ -248,30 +262,36 @@ def _min_repl_affine(S, m_vec, c_atoms, meter):
                 open_states[state] = defect
         next_frontier = {}
         for state, defect in open_states.items():
-            if _dominates_any(level_projections, state[:nc]):
+            if level_projections and _dominates_any(
+                level_projections, state[:nc]
+            ):
                 continue
             down = descents.get(defect)
             if down is None:
-                down = [i for i in range(nvars) if _dot(defect, cols[i]) < 0]
+                dots = [sum(map(mul, defect, g)) for g in gens]
+                c_dots = dots[:mi] + dots[mi + 1 :]  # the atoms without m
+                rest = [p for p, d in zip(c_pairs, c_dots) if d < 0]
+                rest += [p for p, d in zip(b_pairs, dots) if d > 0]
+                # Indexed by the state's t-coordinate: t is used at most once.
+                down = (rest + [t_pair] if dots[mi] > 0 else rest, rest)
                 descents[defect] = down
-            for i in down:
-                if i == t_index and state[t_index] == 1:
-                    continue
+            for i, col in down[state[t_index]]:
                 value = state[i] + 1
-                child = state[:i] + (value,) + state[i + 1 :]
+                child = list(state)
+                child[i] = value
+                child = tuple(child)
                 if child in next_frontier:
                     continue
                 # A child whose c-part dominates a known member can only
                 # produce dominated projections.
-                if i < nc and _dominates_any(
-                    projections_at.get((i, value), ()), child[:nc]
-                ):
+                if i < nc:
+                    bucket = projections_at.get((i, value))
+                    if bucket and _dominates_any(bucket, child[:nc]):
+                        continue
+                bucket = solutions_at.get((i, value))
+                if bucket and _dominates_any(bucket, child):
                     continue
-                if _dominates_any(solutions_at.get((i, value), ()), child):
-                    continue
-                next_frontier[child] = tuple(
-                    d + c for d, c in zip(defect, cols[i])
-                )
+                next_frontier[child] = tuple(map(add, defect, col))
         frontier = next_frontier
     # Pairwise, not the up-set test: that test through affine membership
     # made 360 calls 20-30% slower, and all but one of 2,939 projections

@@ -200,17 +200,32 @@ class SemigroupPresentation:
         return self._has(_sub(_as_vector(b, self.dim), _as_vector(a, self.dim)))
 
     def combination_of(self, value):
-        """Counts over the generators summing to value, or None."""
+        """Counts over the generators summing to value, or None.
+
+        Each step takes the first generator whose removal stays in S.  In
+        dimension 1, with the generators ascending, that first generator
+        is n1, and subtracting it keeps the residue mod n1.  So n1 applies
+        exactly while the value exceeds the least element of its class,
+        and those (value - least) // n1 steps are taken at once.
+        """
         current = _as_vector(value, self.dim)
         if not self._has(current):
             return None
         counts = [0] * len(self.generators)
+        bulk = self.dim == 1 and self.generators[0] == (self._n1,)
         while current != self._zero:
             for i, g in enumerate(self.generators):
                 child = _sub(current, g)
                 if _dot(self.grading, child) >= 0 and self._has(child):
-                    counts[i] += 1
-                    current = child
+                    if i == 0 and bulk:
+                        n1 = self._n1
+                        (n,) = current
+                        steps = (n - self._table(n1)[n % n1]) // n1
+                        counts[0] += steps
+                        current = (n - steps * n1,)
+                    else:
+                        counts[i] += 1
+                        current = child
                     break
             else:  # pragma: no cover - impossible when membership holds
                 raise AssertionError("witness reconstruction failed")

@@ -29,7 +29,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from operator import eq
+from operator import add, eq
 from typing import NamedTuple
 
 from .budget import BudgetMeter
@@ -297,24 +297,25 @@ def _length_tables_affine(S, wbound, formula, budget):
 
     Returns (best, layers): best maps each element to L (or l), and
     layers maps each grading value that has elements to their list, so a
-    huge wbound allocates nothing.  One budget node per element the table
-    adds, the zero element included.
+    huge wbound allocates nothing.  Layers are filled in grading order,
+    each element extended by every generator with its grading value read
+    once per table.  One budget node per element the table adds, the
+    zero element included.
     """
     maximize = formula is Formula.LONGEST
     meter = BudgetMeter(budget)
     meter.spend()
     best = {(0,) * S.dim: 0}
     layers = {0: [(0,) * S.dim]}
-    wg = [S.grading_value(g) for g in S.generators]
+    steps = [(g, S.grading_value(g)) for g in S.generators]
     for w in range(wbound + 1):
         for v in layers.get(w, ()):
-            lv = best[v]
-            for g, wgi in zip(S.generators, wg):
+            cand = best[v] + 1
+            for g, wgi in steps:
                 nw = w + wgi
                 if nw > wbound:
                     continue
-                nv = tuple(a + b for a, b in zip(v, g))
-                cand = lv + 1
+                nv = tuple(map(add, v, g))
                 old = best.get(nv)
                 if old is None:
                     meter.spend()
@@ -399,11 +400,12 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         wm = S.grading_value(m_elt)
         table, layers = _length_tables_affine(S, bound + wm, formula, budget)
         in_range = [s for w in range(bound + 1) for s in layers.get(w, ())]
+        m_vec = S.vector(m_elt)
         checked = []
         counterexamples = []
-        for s in sorted(in_range, key=_element_sort_key):
-            shifted = tuple(a + b for a, b in zip(s, S.vector(m_elt)))
-            check = Check(shifted, table[shifted], table[s] + 1)
+        for s in sorted(in_range):
+            shifted = tuple(map(add, s, m_vec))
+            check = _new_check((shifted, table[shifted], table[s] + 1))
             checked.append(check)
             if not check.ok:
                 counterexamples.append(check)

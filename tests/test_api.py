@@ -5,6 +5,8 @@ point that takes it."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,3 +243,46 @@ def test_every_sgfl_name_the_benchmark_reads_exists():
     # the walk above cannot follow; every node a Kunz point spends, built
     # or read from the face cache, goes through it.
     assert _exists("sgfl.budget:BudgetMeter", "spend")
+
+
+# The modules that `import sgfl, sgfl.cli` may load beyond those the
+# interpreter already holds: the benchmark's setup_s times exactly that
+# import, so a new import (fractions, say) must be a decision, made here.
+# Submodules count under their top-level name; names starting with "_"
+# are C helpers of the modules listed.
+LAUNCH_MODULES = {
+    "__future__", "argparse", "array", "ast", "copy", "dataclasses", "dis",
+    "gettext", "heapq", "importlib.machinery", "inspect", "json",
+    "linecache", "opcode", "sgfl", "token", "tokenize",
+}
+# Standard modules sgfl imports that the site start-up here already holds;
+# importing them before the snapshot keeps the check independent of it.
+SITE_MODULES = (
+    "collections.abc, enum, functools, itertools, math, operator, os, re, "
+    "types, typing"
+)
+
+
+def test_launch_loads_no_module_beyond_todays_set():
+    code = (
+        f"import sys, {SITE_MODULES}; "
+        "sys.path.insert(0, sys.argv[1]); "
+        "before = set(sys.modules); "
+        "import sgfl, sgfl.cli; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(sgfl.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = ast.literal_eval(proc.stdout)
+    assert "sgfl.cli" in loaded
+    extra = [
+        name
+        for name in loaded
+        if not name.startswith("_")
+        and name not in LAUNCH_MODULES
+        and name.partition(".")[0] not in LAUNCH_MODULES
+    ]
+    assert extra == []

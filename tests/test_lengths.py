@@ -1,13 +1,16 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from conftest import (
+    affine_span,
     build_corpus,
     enumerate_factorizations_box,
     enumerate_kunz_points,
     length_dp,
+    sample_affine_atom_sets,
 )
 from sgfl.errors import (
     BudgetExceededError,
@@ -119,6 +122,36 @@ def test_branch_and_bound_matches_full_enumeration(chicken, plane):
             # Tie-break: lexicographically smallest extremal witness.
             assert top_witness == min(c for c in facs if sum(c) == top)
             assert low_witness == min(c for c in facs if sum(c) == low)
+
+
+AFFINE_WBOUND = 20
+
+
+def test_walks_match_box_enumeration_on_sampled_affine_sets():
+    # The full walk and both branch and bounds, on every element of each
+    # sampled set up to a grading bound, and on the lattice points near
+    # the origin that lie outside the set.
+    for atoms in sample_affine_atom_sets():
+        S = new_semigroup(atoms, dim=2)
+        span = affine_span(S.generators, S.grading, AFFINE_WBOUND)
+        box = set(itertools.product(range(-1, 7), repeat=2))
+        for v in sorted(span | box):
+            facs = tuple(tuple(c) for c in enumerate_factorizations_box(S, v))
+            assert factorizations(S, v) == facs, (atoms, v)
+            if S.grading_value(v) <= AFFINE_WBOUND:
+                assert bool(facs) == (v in span), (atoms, v)
+            if not facs:
+                assert longest_length(S, v) is None
+                assert shortest_length(S, v) is None
+                continue
+            top = max(map(sum, facs))
+            low = min(map(sum, facs))
+            assert longest_length(S, v) == (
+                top, min(c for c in facs if sum(c) == top)
+            ), (atoms, v)
+            assert shortest_length(S, v) == (
+                low, min(c for c in facs if sum(c) == low)
+            ), (atoms, v)
 
 
 def test_noms_shift_equivalence_both_directions(chicken, plane):

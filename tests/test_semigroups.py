@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -331,6 +332,55 @@ def test_apery_and_frobenius_match_independent_table():
         assert S.apery_set(n1) == least, gens
         gaps = [n for n in range(n1 * nk + 1) if not table[n]]
         assert S.frobenius() == max(gaps, default=-1), gens
+
+
+def test_non_atom_witness_takes_n1_in_one_step():
+    # The witness takes n1 = 2 half a million times; the residue table
+    # gives that count at once, where one step per copy took over a second.
+    start = time.perf_counter()
+    with pytest.raises(NotMinimalError) as info:
+        new_semigroup([2, 10**6])
+    assert time.perf_counter() - start < 0.1
+    assert info.value.combination == "500000*2"
+
+
+def _stepwise_witness(gens, v):
+    """Counts over gens (ascending) taking, one copy per step, the first
+    generator whose removal stays in their span."""
+    member = membership_table(gens, v)
+    counts = [0] * len(gens)
+    while v:
+        i = next(i for i, g in enumerate(gens) if v >= g and member[v - g])
+        counts[i] += 1
+        v -= gens[i]
+    return counts
+
+
+def test_non_atom_witness_matches_a_stepwise_reference():
+    rng = random.Random(20261021)
+    seen = 0
+    while seen < 60:
+        gens = rng.sample(range(2, 30), rng.randint(2, 5))
+        gens.append(rng.randint(60, 3000))
+        rng.shuffle(gens)
+        ordered = sorted(gens)
+        non_atoms = [
+            v
+            for v in ordered
+            if membership_table([g for g in ordered if g != v], v)[v]
+        ]
+        if not non_atoms:
+            continue
+        seen += 1
+        v = non_atoms[0]
+        others = [g for g in ordered if g != v]
+        counts = _stepwise_witness(others, v)
+        with pytest.raises(NotMinimalError) as info:
+            new_semigroup(gens)
+        assert info.value.generator == v, gens
+        assert info.value.combination == " + ".join(
+            f"{c}*{g}" for c, g in zip(counts, others) if c
+        ), gens
 
 
 def test_minimal_generating_subset_matches_independent_table():

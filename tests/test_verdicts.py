@@ -25,7 +25,12 @@ from sgfl.verdicts import (
     oracle_scan,
 )
 
-from conftest import affine_span, length_dp
+from conftest import (
+    affine_span,
+    enumerate_factorizations_box,
+    length_dp,
+    sample_affine_atom_sets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +343,42 @@ def test_numerical_scan_memory_ignores_atoms_above_its_range():
         (s, s // 2, s // 2) for s in range(2, 13, 2)
     )
     assert peak < 100_000
+
+
+AFFINE_SCAN_BOUND = 8
+
+
+def test_affine_oracle_scan_matches_box_enumeration():
+    # Every check of the affine scan, at every atom of the sampled sets,
+    # against lengths read off the exhaustive factorization enumeration:
+    # the scan covers each s of grading value up to the bound, in
+    # coordinate order, as the check at s + m.
+    for atoms in sample_affine_atom_sets():
+        S = new_semigroup(atoms, dim=2)
+        lengths = {}
+
+        def extreme(v, pick):
+            if v not in lengths:
+                lengths[v] = [sum(c) for c in enumerate_factorizations_box(S, v)]
+            return pick(lengths[v])
+
+        span = affine_span(S.generators, S.grading, AFFINE_SCAN_BOUND)
+        for m, formula in itertools.product(S.atoms, ("longest", "shortest")):
+            pick = max if formula == "longest" else min
+            verdict = oracle_scan(
+                S, m, formula, bound=AFFINE_SCAN_BOUND, all_counterexamples=True
+            )
+            expected = []
+            for s in sorted(span):
+                shifted = tuple(a + b for a, b in zip(s, m))
+                expected.append(
+                    (shifted, extreme(shifted, pick), extreme(s, pick) + 1)
+                )
+            assert verdict.checked == tuple(expected), (atoms, m, formula)
+            assert verdict.counterexamples == tuple(
+                c for c in expected if c[1] != c[2]
+            )
+            assert verdict.holds == (not verdict.counterexamples)
 
 
 def test_oracle_scan_affine_needs_bound(plane):
