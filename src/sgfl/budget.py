@@ -13,15 +13,15 @@ length is at most 256, as at m = 9899 in <100, 101, 9899>, it is at most
 
 The Kunz face cache is bounded by weight, not by node budget.  A face
 weighs (m + 2)**2 for its order tables, plus len(atoms) + 1 for each
-minimal INFINITY vector, plus m + 1 for each main_verdict template once
-built.  Under tracemalloc on CPython 3.11, every face measured held less
-than FACE_BYTES_PER_WEIGHT = 128 bytes per unit of weight: 31 on average
-over the 1,082 faces of 30,000 kunz_scan benchmark points (m = 6..8),
-and at most 105, on faces with many tight pairs and few minimal vectors
-(the all-zero points, m = 2..50).  So the cache holds at most
-128 * 50,000 bytes = 6.4 MB, and about 1.5 MB on the benchmark's faces.
-Faces with m <= 16 also share one table of 256 pair tuples, about 20 KB,
-built with the first face.
+minimal INFINITY vector, plus m + 1 for each main_verdict template; the
+templates of both formulas are built with the face.  Under tracemalloc
+on CPython 3.11, every face measured held less than
+FACE_BYTES_PER_WEIGHT = 128 bytes per unit of weight: 42 on average over
+the 1,069 faces of the first 30,000 seed-1 kunz_scan benchmark points
+(m = 6..8), and at most 118, on faces with many tight pairs and few
+minimal vectors (the all-zero points, m = 2..50; the most at m = 45).
+So the cache holds at most 128 * 50,000 bytes = 6.4 MB, and about
+2.1 MB once the benchmark's faces fill it.
 """
 
 from .errors import BudgetExceededError, SgflError

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache
 from operator import mul
 
 from .budget import FACE_CACHE_WEIGHT, BudgetMeter
@@ -47,11 +46,13 @@ def numerical_context(m):
     return m
 
 
-def _require_length(counts, n):
-    """DimensionMismatchError unless counts has n entries."""
-    if len(counts) != n:
+def _require_counts(counts, n):
+    """DimensionMismatchError unless counts holds n ints, bools refused."""
+    if len(counts) != n or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in counts
+    ):
         raise DimensionMismatchError(
-            f"expected a vector of {n} counts, got {counts!r}"
+            f"expected a vector of {n} integer counts, got {counts!r}"
         )
 
 
@@ -103,6 +104,8 @@ class KunzPoint:
     has no factorization.  evaluations maps each minimal INFINITY vector c
     to ev(c) = sum c_a * w_a over the atom images w_a = m * x_a + a; it is
     determined by the fields above, so it is kept out of eq, hash and repr.
+    _face holds the face with its main_verdict templates; a point that
+    kunz_point did not build has none, and the verdict functions refuse it.
     """
 
     m: int
@@ -201,9 +204,9 @@ def _tight_flags(m, x):
 class _Face:
     """The order data of one face, shared by every point on it.
 
-    templates maps a formula to its main_verdict inequalities without
-    their left sides; it is filled by main_verdict.  weight is what the
-    face cache charges for the face (see _FaceCache).
+    _build_face builds it whole: templates maps each formula to its
+    main_verdict inequalities without their left sides, and weight is
+    what the face cache charges for the face (see _FaceCache).
     """
 
     __slots__ = (
@@ -213,34 +216,9 @@ class _Face:
     )
 
 
-_SHARED_PAIRS = 16  # faces with m <= 16 share their pair tuples
-
-
-@cache
-def _shared_pairs():
-    """The pairs (a, b) with a, b < _SHARED_PAIRS, indexed [a][b].
-
-    Every face with m <= _SHARED_PAIRS takes its tight pairs, relations
-    and length extremes (lengths stay below m) from this table, so the
-    pair tuples of the cached faces are held once.
-    """
-    return tuple([
-        tuple([(a, b) for b in range(_SHARED_PAIRS)])
-        for a in range(_SHARED_PAIRS)
-    ])
-
-
 def _build_face(key, meter):
     """The face with the given key, built with the budget."""
     m, flags = key
-    if m <= _SHARED_PAIRS:
-        rows = _shared_pairs()
-
-        def pair(a, b):
-            return rows[a][b]
-    else:
-        def pair(a, b):
-            return (a, b)
     # (a, b) is tight iff a <= a + b in the poset, and then a (+) b is the
     # residue a + b; every other entry of the operation table is INFINITY.
     # A nonzero residue is composite iff it is a (+) b for nonzero a, b.
@@ -252,8 +230,8 @@ def _build_face(key, meter):
     for (a, b), flag in zip(pairs, flags):
         if flag:
             s = (a + b) % m
-            tight.update((pair(a, b), pair(b, a)))
-            relations.update((pair(a, s), pair(b, s)))
+            tight.update(((a, b), (b, a)))
+            relations.update(((a, s), (b, s)))
             table[a][b] = table[b][a] = s
             if a and s:
                 composite.add(s)
@@ -279,20 +257,22 @@ def _build_face(key, meter):
 
     before = meter.remaining
     face.min_inf, face.length_extremes = _atom_walk(
-        m, oplus_table, atoms, face.power_bounds, meter, pair
+        m, oplus_table, atoms, face.power_bounds, meter
     )
     face.nodes = before - meter.remaining
-    face.templates = {}
-    face.weight = (m + 2) ** 2 + len(face.min_inf) * (len(atoms) + 1)
+    face.templates = {f: _templates(face, f) for f in Formula}
+    face.weight = (m + 2) ** 2 + len(face.min_inf) * (len(atoms) + 1) + sum(
+        map(len, face.templates.values())
+    ) * (m + 1)
     return face
 
 
 class _FaceCache:
     """Faces by key, least recently used first, within a total weight.
 
-    A face weighs (m + 2)**2 for its order tables plus len(atoms) + 1 for
-    each minimal INFINITY vector, and each main_verdict template adds
-    m + 1: the entries it holds, so that the weight tracks its memory
+    A face weighs (m + 2)**2 for its order tables, len(atoms) + 1 for
+    each minimal INFINITY vector and m + 1 for each main_verdict
+    template: the entries it holds, so that the weight tracks its memory
     (budget.py gives the bytes per unit).  A face heavier than the whole
     bound is returned to its caller but never stored.  The hit and miss
     counts are kept for the observability counters.
@@ -322,16 +302,6 @@ class _FaceCache:
             self.weight += face.weight
             self._trim()
 
-    def grow(self, face, extra):
-        """Add extra to the weight of a face, stored or not."""
-        face.weight += extra
-        if self.faces.get(face.key) is face:
-            self.weight += extra
-            if face.weight > self.bound:
-                del self.faces[face.key]
-                self.weight -= face.weight
-            self._trim()
-
     def _trim(self):
         while self.weight > self.bound:
             _, face = self.faces.popitem(last=False)
@@ -341,7 +311,7 @@ class _FaceCache:
 _FACES = _FaceCache(FACE_CACHE_WEIGHT)
 
 
-def _atom_walk(m, oplus_table, atoms, power_bounds, meter, pair):
+def _atom_walk(m, oplus_table, atoms, power_bounds, meter):
     """Minimal INFINITY factorizations and per-residue length extremes.
 
     One depth-first walk over the atom coordinates, in lexicographic order,
@@ -359,8 +329,6 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter, pair):
     walk node costs one budget node, every product in the minimality test
     one node per oplus step and every recorded factorization one node per
     coordinate.  Hits come in lexicographic order, so min_inf does too.
-    pair(hi, lo) makes each (longest, shortest) pair, so that faces can
-    share them.
     """
     n = len(atoms)
     counts = [0] * n
@@ -427,7 +395,7 @@ def _atom_walk(m, oplus_table, atoms, power_bounds, meter, pair):
             break
     # From a list: tuple(genexpr) resizes, which fills the free lists.
     extremes = tuple([
-        pair(hi, lo) if hi >= 0 else None for hi, lo in zip(longest, shortest)
+        (hi, lo) if hi >= 0 else None for hi, lo in zip(longest, shortest)
     ])
     return tuple(min_inf), extremes
 
@@ -489,18 +457,20 @@ def pinfty_length_extremes(point, beta):
 def structure_constants(m, counts, counts2, support):
     """(d_{(c)}, b_{(c),(c')}) for vectors over a residue support of Z/mZ.
 
-    Each vector needs one count per residue of the support.
+    Each vector needs one int count per residue of the support, and the
+    support's residues are ints.
     """
     m = numerical_context(m)
-    _require_length(counts, len(support))
-    _require_length(counts2, len(support))
+    _require_counts(support, len(support))
+    _require_counts(counts, len(support))
+    _require_counts(counts2, len(support))
     return _carry(m, counts, support)[0], _threshold(m, counts, counts2, support)
 
 
 def _evaluation(point, counts):
     """ev(c) = m * sum c_a x_a + rs(c): the element of the point's semigroup
     that c multiplies out to over the atom images w_a = x_a * m + a."""
-    _require_length(counts, len(point.atoms))
+    _require_counts(counts, len(point.atoms))
     return sum(map(mul, counts, _images(point.m, point.x, point.atoms)))
 
 
@@ -550,9 +520,10 @@ def pseudomin(point):
 
 
 def _require_point(point):
-    """SgflError unless point is a built KunzPoint."""
-    if not isinstance(point, KunzPoint):
-        raise SgflError(f"expected a KunzPoint, got {point!r}")
+    """SgflError unless point is a KunzPoint that kunz_point built, which
+    carries its face."""
+    if not isinstance(point, KunzPoint) or point._face is None:
+        raise SgflError(f"expected a KunzPoint from kunz_point, got {point!r}")
 
 
 def require_same_face(point, other):
@@ -668,10 +639,10 @@ def main_verdict(point, formula):
     pseudominimal vectors is not sound (failures need not descend along
     evaluation divisibility), so all minimal vectors are checked.  Points
     on one face interior therefore share the same inequality templates
-    (c, beta, coeffs, rhs): they are built on the first call for the face
-    and formula and kept with the face, so a call computes only the left
-    sides.  Every valid point is reduced (see is_reduced_point); when m is
-    not an atom, MNotAtomAtPointError carries the first factorization of m.
+    (c, beta, coeffs, rhs): they are built with the face, for both
+    formulas, so a call computes only the left sides.  Every valid point
+    is reduced (see is_reduced_point); when m is not an atom,
+    MNotAtomAtPointError carries the first factorization of m.
     """
     formula = _as_formula(formula)
     _require_point(point)
@@ -688,7 +659,7 @@ def main_verdict(point, formula):
     atom_x = [x[a] for a in point.atoms]
     checks = []
     counterexamples = []
-    for c, beta, coeffs, rhs in _templates(point, formula):
+    for c, beta, coeffs, rhs in point._face.templates[formula]:
         lhs = sum(map(mul, c, atom_x)) - x[beta]
         check = KunzInequality(c, beta, coeffs, relation, rhs, lhs)
         checks.append(check)
@@ -703,28 +674,21 @@ def main_verdict(point, formula):
     )
 
 
-def _templates(point, formula):
-    """The inequality templates (c, beta, coeffs, rhs) of main_verdict at
-    the point's face, built on the first call for the face and formula."""
-    face = point._face
-    templates = face.templates.get(formula) if face is not None else None
-    if templates is not None:
-        return templates
+def _templates(face, formula):
+    """The inequality templates (c, beta, coeffs, rhs) of main_verdict on
+    the face.  Every residue factors over the atoms, so every beta has
+    length extremes."""
     longest = formula is Formula.LONGEST
-    m = point.m
+    m = face.key[0]
     templates = []
-    for f in point.min_inf:
+    for f in face.min_inf:
         if longest and sum(f.c) <= 2:
             continue
-        extremes = pinfty_length_extremes(point, f.beta)
+        extremes = face.length_extremes[f.beta]
         rhs = sum(f.c) - f.d_value - extremes[0 if longest else 1]
         coeffs = [0] * m
-        for a, count in zip(point.atoms, f.c):
+        for a, count in zip(face.atoms, f.c):
             coeffs[a] += count
         coeffs[f.beta] -= 1
         templates.append((f.c, f.beta, tuple(coeffs), rhs))
-    templates = tuple(templates)
-    if face is not None:
-        face.templates[formula] = templates
-        _FACES.grow(face, len(templates) * (m + 1))
-    return templates
+    return tuple(templates)

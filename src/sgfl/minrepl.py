@@ -99,6 +99,8 @@ def _atom_data(S, m):
 
 def _require_report_for(S, m, report):
     """ReportMismatchError unless report was made by min_repl(S, m)."""
+    if not isinstance(report, MinReplReport):
+        raise ReportMismatchError(f"expected a MinReplReport, got {report!r}")
     mi, c_atoms = _atom_data(S, m)
     # From a list: tuple(genexpr) resizes, which fills the free lists.
     expected_index = tuple([_as_element(a, S.dim) for a in c_atoms])
@@ -125,6 +127,8 @@ def repl_contains(S, m, c):
         raise DimensionMismatchError(
             f"vector has {len(vec)} coordinates, expected {len(c_atoms)}"
         )
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in vec):
+        raise DimensionMismatchError(f"vector {vec} has non-integer counts")
     m_vec = S.vector(m)
     return S.contains(_sub(evaluate(S, c_atoms, vec), m_vec))
 

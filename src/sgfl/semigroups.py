@@ -116,17 +116,17 @@ class SemigroupPresentation:
     modulo the smallest generator n1: n is in S iff n is at least the entry
     for n mod n1 (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).
     That table is built on the first query n >= n1; below n1 only 0 is in
-    S, so a query smaller than n1 never pays for n1 entries.  Every residue
-    table, the one modulo n1 and each Apery set, is built once and kept in
-    one cache keyed by modulus.
+    S, so a query smaller than n1 never pays for n1 entries.  It is kept,
+    and apery_set(n1) and frobenius read it too; an Apery set modulo any
+    other m is built per call and not kept.
     Higher dimensions use an iterative depth-first search on residual
     vectors, ordered by decreasing grading value, memoized on the residual.
     A residual with a negative grading value is rejected immediately, which
     bounds the search because w(g) >= 1 for every generator.
 
-    Instances are not changed after construction, apart from the residue
-    tables and the affine memo, which only gain entries that are
-    deterministic functions of the presentation.
+    Instances are not changed after construction, apart from the table
+    modulo n1 and the affine memo, which are deterministic functions of
+    the presentation.
     """
 
     def __init__(self, generators, dim, grading, generator_gcd):
@@ -138,9 +138,8 @@ class SemigroupPresentation:
         # self.atoms: the generators as elements (ints when dim == 1).
         if dim == 1:
             self.atoms = tuple([g for (g,) in generators])
-            self._tables = {}  # modulus -> least element per residue
             self._n1 = min(self.atoms)
-            self._least = None  # self._tables[self._n1], once built
+            self._least = None  # least element per residue mod n1, once built
         else:
             self.atoms = generators
             self._memo = {}
@@ -232,11 +231,13 @@ class SemigroupPresentation:
         return tuple(counts)
 
     def _table(self, modulus):
-        """Least element of S in each residue class modulo modulus."""
-        table = self._tables.get(modulus)
+        """Least element of S in each residue class modulo modulus; only
+        the table modulo n1 is kept."""
+        if modulus != self._n1:
+            return _least_per_residue(self.atoms, modulus)
+        table = self._least
         if table is None:
-            table = _least_per_residue(self.atoms, modulus)
-            self._tables[modulus] = table
+            table = self._least = _least_per_residue(self.atoms, modulus)
         return table
 
     def _has_int(self, n):
@@ -246,7 +247,7 @@ class SemigroupPresentation:
             return n == 0
         table = self._least
         if table is None:
-            table = self._least = self._table(n1)
+            table = self._table(n1)
         least = table[n % n1]
         return least is not None and n >= least
 

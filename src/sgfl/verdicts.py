@@ -329,6 +329,7 @@ def _length_tables_affine(S, wbound, formula, budget):
 def default_scan_bound(S, formula):
     """Scan range beyond which the formula is guaranteed (numerical only)."""
     formula = _as_formula(formula)
+    S._require_numerical()
     gens = S.atoms
     if formula is Formula.LONGEST:
         return (gens[0] - 1) * gens[-1]

@@ -214,6 +214,30 @@ def test_criterion_6_oracle_equivalence(corpus_verdict_results):
     assert not disagreements
 
 
+def test_criterion_6_three_routes_agree_over_the_corpus(
+    corpus_verdict_results,
+):
+    # The Kunz route on the same instances: the point of S over n1 decides
+    # the longest formula at n1, and the point over n_k the shortest at n_k.
+    disagreements = []
+    holding = 0
+    for S, formula, m, check, oracle in corpus_verdict_results:
+        kunz = main_verdict(point_of_semigroup(m, S), formula).holds
+        if not check == oracle == kunz:
+            disagreements.append((S.atoms, formula, check, oracle, kunz))
+        holding += kunz
+    count = len(corpus_verdict_results)
+    _line(
+        "criterion 6 three-way (criterion vs oracle vs Kunz polytope)",
+        not disagreements,
+        f"{count} verdicts compared, {count - len(disagreements)} agree "
+        f"({holding} hold, {count - holding} fail on the Kunz route), "
+        f"{len(disagreements)} disagreements",
+    )
+    assert count >= 400
+    assert not disagreements
+
+
 def test_criterion_7_kunz_direct_equivalence(kunz_scan):
     relevant = [r for r in kunz_scan if r.m >= 3 and r.m_atom]
     bad = [

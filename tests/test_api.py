@@ -3,6 +3,7 @@ and malformed input refused with an SgflError subclass at every entry
 point that takes it."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import subprocess
@@ -18,9 +19,11 @@ from sgfl import (
     DimensionMismatchError,
     NoFactorizationError,
     NotIntegerPointError,
+    NotNumericalError,
     ReportMismatchError,
     SgflError,
     candidate_atoms,
+    candidate_sets,
     check_formula,
     cominimal,
     default_scan_bound,
@@ -34,6 +37,7 @@ from sgfl import (
     point_of_semigroup,
     repl_contains,
     semigroup_of_point,
+    sq_leq,
     structure_constants,
 )
 
@@ -141,6 +145,12 @@ MALFORMED = {
         lambda: pinfty_length_extremes(kunz_point(5, M5_POINT), True)),
     "main_verdict-raw-coordinates": (
         SgflError, lambda: main_verdict(M5_POINT, "longest")),
+    # A KunzPoint that kunz_point did not build carries no face.
+    "main_verdict-point-without-face": (
+        SgflError,
+        lambda: main_verdict(
+            dataclasses.replace(kunz_point(5, M5_POINT), _face=None),
+            "longest")),
     "cominimal-int-point": (
         SgflError, lambda: cominimal(kunz_point(5, M5_POINT), 5)),
     "repl_contains-short-vector": (
@@ -156,6 +166,24 @@ MALFORMED = {
     "contains-bool-coordinate": (
         DimensionMismatchError,
         lambda: new_semigroup([(1, 0), (0, 1)], dim=2).contains((True, 0))),
+    "default_scan_bound-affine": (
+        NotNumericalError,
+        lambda: default_scan_bound(
+            new_semigroup([(1, 0), (0, 1)], dim=2), "longest")),
+    "check_formula-report-not-a-report": (
+        ReportMismatchError,
+        lambda: check_formula(CHICKEN, 10, "longest", report="x")),
+    "candidate_sets-report-not-a-report": (
+        ReportMismatchError, lambda: candidate_sets(CHICKEN, 10, "x")),
+    # Strings of the right length: "c" * 3 is a str to Python, not a count.
+    "sq_leq-str-counts": (
+        DimensionMismatchError,
+        lambda: sq_leq(kunz_point(5, M5_POINT), "ab", "cd")),
+    "repl_contains-str-counts": (
+        DimensionMismatchError, lambda: repl_contains(CHICKEN, 10, "abc")),
+    "structure_constants-str-support": (
+        DimensionMismatchError,
+        lambda: structure_constants(5, (1,), (1,), ["a"])),
 }
 
 

@@ -387,7 +387,6 @@ def test_face_cache_stays_within_its_weight_and_bytes(faces):
         (8, kunz._tight_flags(8, x)): x for x in enumerate_kunz_points(8, 3)
     }
     pushed = {}
-    kunz._shared_pairs()  # the pair table is built once, outside the cache
     gc.collect()  # empties the free lists, whose blocks tracemalloc misses
     tracemalloc.start()
     try:

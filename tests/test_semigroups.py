@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -434,3 +436,23 @@ def test_residue_tables_sized_by_queried_span(monkeypatch):
     ctx = numerical_context(3)
     point = kunz_point(ctx, [0, 10**8, 10**8])
     assert semigroup_of_point(ctx, point).atoms == (3, 3 * 10**8 + 1, 3 * 10**8 + 2)
+
+
+def test_apery_sets_modulo_other_atoms_are_not_kept():
+    # Only the table modulo n1, which membership reads, stays with the
+    # presentation.  Keeping each Apery set would hold about 34 MB here.
+    S = new_semigroup([2, 3])
+    assert S.contains(5)  # builds the table modulo n1 before tracing
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in range(2, 1500):
+            apery = S.apery_set(m)
+            assert len(apery) == m and apery[1] == m + 1  # 1 + m is in S
+        del apery
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 10**6
