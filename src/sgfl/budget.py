@@ -1,8 +1,8 @@
 """Node budgets for searches that can blow up on oversized instances.
 
 A budget is a positive int.  Where a search keeps a table, the budget
-bounds its memory too.  The numerical oracle_scan is charged one node per
-value 0..bound+m.  Up to the last value it checks, it keeps an 8-byte
+bounds its memory too.  The dimension-1 oracle_scan is charged one node
+per value 0..bound+m.  Up to the last value it checks, it keeps an 8-byte
 list slot per value, an 8-byte array slot per check, and a 32-byte int
 object per non-member (its sentinel) and per length above 256.  While it
 fills, it also holds one slot per value below 0 down to minus the

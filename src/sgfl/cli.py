@@ -62,13 +62,15 @@ def _int(text):
 
 
 def parse_generators(text, dim=None):
-    """Parse `10,12,21,38` or `(2,0),(3,1),(0,5)` into a generator list."""
+    """Parse `10,12,21,38` or `(2,0),(3,1),(0,5)` into a generator list.
+
+    Tuples must make up the whole text: comma-separated groups, with
+    whitespace allowed around them."""
     text = text.strip()
     if "(" in text:
-        tuples = re.findall(r"\(([^()]*)\)", text)
-        if not tuples:
+        if not re.fullmatch(r"\([^()]*\)(\s*,\s*\([^()]*\))*", text):
             raise SgflError(f"could not parse generators from {text!r}")
-        gens = [tuple(_ints(t)) for t in tuples]
+        gens = [tuple(_ints(t)) for t in re.findall(r"\(([^()]*)\)", text)]
         inferred = len(gens[0])
     else:
         gens = _ints(text)
@@ -86,7 +88,10 @@ def _semigroup(text, dim):
 def parse_element(text, dim):
     text = text.strip()
     if "(" in text:
-        return tuple(_ints(text.strip("()")))
+        group = re.fullmatch(r"\(([^()]*)\)", text)
+        if group is None:
+            raise SgflError(f"expected one (...) element, got {text!r}")
+        return tuple(_ints(group[1]))
     if dim == 1:
         return _int(text)
     return tuple(_ints(text))
@@ -238,11 +243,15 @@ def _verdict_rows_pretty(verdicts):
 def _cmd_analyze(args):
     semigroups = []
     if args.file:
-        with open(args.file) as handle:
-            for line in handle:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    semigroups.append(parse_semigroup_line(line))
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                lines = list(handle)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SgflError(f"cannot read --file {args.file!r}: {exc}") from None
+        for line in lines:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                semigroups.append(parse_semigroup_line(line))
     if args.gens:
         semigroups.append(_semigroup(args.gens, args.dim))
     if not semigroups:

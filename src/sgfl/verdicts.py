@@ -3,22 +3,20 @@
 Three routes produce a Verdict for "L(s+m) = L(s) + 1 for all s" (and the
 shortest-length analogue):
 
-* check_formula: the finite candidate-set criterion built on min_repl,
-  reading dimension-1 lengths from one length table up to the largest
-  check target and solving affine ones by branch-and-bound search;
+* check_formula: the finite candidate-set criterion built on min_repl;
 * embdim3_check: the single-element fast path for numerical semigroups
   with exactly three generators;
 * oracle_scan: an exhaustive scan whose lengths come from an independent
-  dynamic program.  For numerical semigroups the scan range makes the
-  verdict exact, and lengths are computed only up to the last value
-  checked; for affine semigroups it is desk-scale evidence only and the
-  Verdict is flagged exact=False.  The budget is charged one node per
-  value of the numerical range, or per element of the affine table.
+  dynamic program.  It is exact only for a numerical S scanned up to
+  default_scan_bound; every other scan is evidence only (exact=False).
 
-Each evaluated instance is a Check.  The numerical scan stores no Check:
-it keeps the values it checked in an array and its lengths in one list,
-and its Verdict.checked is a read-only sequence that builds each Check
-when it is read.  Every other route keeps a tuple of Check records.
+Every route picks its length engine by dimension.  In dimension 1 the
+criteria read one length table up to their largest target, and the scan
+fills its lengths in the loop that checks them; in higher dimension the
+criteria solve each element by branch and bound, and the scan fills a
+table by grading layer.  Each evaluated instance is a Check.  The
+dimension-1 scan stores none: its Verdict.checked is a read-only
+sequence that builds each Check when it is read.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from operator import add, eq
+from operator import add, eq, sub
 from typing import NamedTuple
 
 from .budget import BudgetMeter
@@ -68,7 +66,7 @@ def _as_formula(formula):
 class Check(NamedTuple):
     """One evaluated instance: value = L(s) (or l(s)), shifted = L(s-m)+1.
 
-    A NamedTuple, not a frozen dataclass: the checks of a numerical scan
+    A NamedTuple, not a frozen dataclass: the checks of a dimension-1 scan
     are built as they are read, and a tuple subclass is built in one C
     call, where a frozen dataclass sets each field through
     object.__setattr__.  The record is immutable and hashable, and being a
@@ -90,7 +88,7 @@ _new_check = functools.partial(tuple.__new__, Check)
 
 
 class _ScanChecks(Sequence):
-    """The checks of a numerical scan, built from its lengths when read.
+    """The checks of a dimension-1 scan, built from its lengths when read.
 
     elements holds the checked values in order and best[v] is L(v) (or
     l(v)) of every value up to the last one, so the check at v is
@@ -137,7 +135,7 @@ class Verdict:
     formula: Formula
     m: object
     holds: bool
-    checked: Sequence  # a tuple, or _ScanChecks for a numerical scan
+    checked: Sequence  # a tuple, or _ScanChecks for a dimension-1 scan
     counterexamples: tuple
     method: str
     exact: bool = True
@@ -161,9 +159,9 @@ def _length_reader(S, formula, upto, budget):
     """A function e -> L(e) (or l(e)) for elements e of S.
 
     Dimension 1 reads one length table over 0..upto.  Affine elements are
-    solved one at a time by branch and bound, memoized because targets
-    share shifted elements.  An element outside S (or, in dimension 1,
-    outside 0..upto) raises NotInSemigroupError.
+    solved one at a time by branch and bound, each call with its own
+    meter.  An element outside S (or, in dimension 1, outside 0..upto)
+    raises NotInSemigroupError.
     """
     maximize = formula is Formula.LONGEST
     if S.dim == 1:
@@ -177,16 +175,12 @@ def _length_reader(S, formula, upto, budget):
 
         return read
     fn = longest_length if maximize else shortest_length
-    memo = {}
 
     def read(e):
-        got = memo.get(e)
-        if got is None:
-            found = fn(S, e, budget=budget)
-            if found is None:
-                raise NotInSemigroupError(f"{e} is not in {S!r}")
-            got = memo[e] = found[0]
-        return got
+        found = fn(S, e, budget=budget)
+        if found is None:
+            raise NotInSemigroupError(f"{e} is not in {S!r}")
+        return found[0]
 
     return read
 
@@ -206,22 +200,43 @@ def _check_targets(S, m, formula, report):
     """
     refined = S.is_numerical and S.element(m) in candidate_atoms(S, formula)
     if formula is Formula.LONGEST:
-        if refined:
-            def keep(c):
-                return sum(c) > 2 and not is_left_zero(c)
-        else:
-            def keep(c):
-                return sum(c) > 2
+        def keep(c):
+            return sum(c) > 2 and not (refined and is_left_zero(c))
     else:
-        if refined:
-            def keep(c):
-                return not is_right_zero(c)
-        else:
-            def keep(c):
-                return True
+        def keep(c):
+            return not (refined and is_right_zero(c))
     return [
         s for s, vecs in report.by_value().items() if any(keep(c) for c in vecs)
     ]
+
+
+def _decide(S, m, formula, targets, method, budget):
+    """The Verdict of the formula at m from its sorted check targets.
+
+    Each target s is checked as L(s) against L(s - m) + 1 (or l), every
+    length read from one reader built up to the largest target.
+    """
+    upto = targets[-1] if targets and S.dim == 1 else 0
+    length_of = _length_reader(S, formula, upto, budget)
+    if S.dim == 1:
+        def back(s):
+            return s - m
+    else:
+        def back(s):
+            return tuple(map(sub, s, m))
+    checked = tuple([
+        _new_check((s, length_of(s), length_of(back(s)) + 1)) for s in targets
+    ])
+    # From a list: tuple(genexpr) resizes, which fills the free lists.
+    counterexamples = tuple([c for c in checked if not c.ok])
+    return Verdict(
+        formula=formula,
+        m=m,
+        holds=not counterexamples,
+        checked=checked,
+        counterexamples=counterexamples,
+        method=method,
+    )
 
 
 def check_formula(S, m, formula, budget=None, report=None):
@@ -230,8 +245,6 @@ def check_formula(S, m, formula, budget=None, report=None):
     A report from min_repl can be passed in to share the solver work
     between the two formulas; only its minimal vectors are consulted, and
     a report made for another semigroup or atom is refused.
-    In dimension 1 every target and its shift s - m are read from one
-    length table up to the largest target.
     """
     formula = _as_formula(formula)
     if report is None:
@@ -239,26 +252,7 @@ def check_formula(S, m, formula, budget=None, report=None):
     else:
         _require_report_for(S, m, report)
     targets = sorted(_check_targets(S, m, formula, report), key=_element_sort_key)
-    m_elt = S.element(m)
-    upto = targets[-1] if targets and S.dim == 1 else 0
-    length_of = _length_reader(S, formula, upto, budget)
-    checked = []
-    for s in targets:
-        if S.dim == 1:
-            prev = s - m_elt
-        else:
-            prev = tuple(a - b for a, b in zip(s, m_elt))
-        checked.append(Check(s, length_of(s), length_of(prev) + 1))
-    # From a list: tuple(genexpr) resizes, which fills the free lists.
-    counterexamples = tuple([c for c in checked if not c.ok])
-    return Verdict(
-        formula=formula,
-        m=m_elt,
-        holds=not counterexamples,
-        checked=tuple(checked),
-        counterexamples=counterexamples,
-        method="minrepl",
-    )
+    return _decide(S, S.element(m), formula, targets, "minrepl", budget)
 
 
 def embdim3_check(S, formula, budget=None):
@@ -279,21 +273,11 @@ def embdim3_check(S, formula, budget=None):
     c = 1
     while not S.contains(c * n2 - m):
         c += 1
-    element = c * n2
-    length_of = _length_reader(S, formula, element, budget)
-    check = Check(element, length_of(element), length_of(element - m) + 1)
-    return Verdict(
-        formula=formula,
-        m=m,
-        holds=check.ok,
-        checked=(check,),
-        counterexamples=() if check.ok else (check,),
-        method="embdim3",
-    )
+    return _decide(S, m, formula, [c * n2], "embdim3", budget)
 
 
 def _length_tables_affine(S, wbound, formula, budget):
-    """DP over all semigroup elements of grading value at most wbound.
+    """DP over the elements of grading value at most wbound (dimension 2+).
 
     Returns (best, layers): best maps each element to L (or l), and
     layers maps each grading value that has elements to their list, so a
@@ -342,20 +326,19 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
                 all_counterexamples=False, budget=None):
     """Check the formula for every s in S up to a bound, by brute force.
 
-    Numerical: the default bound covers every possible exception, so the
-    verdict is exact iff the bound reaches it.  Affine: the scan covers
-    grading values up to the bound (which must be given explicitly unless
-    allow_default permits the default of 120) and the verdict is evidence
-    only (exact=False).  A bound that is not a nonnegative int is an error.
-    Lengths come from a dynamic program, independent of the factorization
-    search used elsewhere.  Unless all_counterexamples is set, the scan
-    stops at the first failure.  The numerical scan fills its lengths in
-    the same loop that checks them, so it computes L (or l) only up to
-    the last value it checks; it charges the budget one node per value
-    0..bound+m before it starts.  Its Verdict.checked is a read-only
-    sequence over the checked values and those lengths (see budget.py for
-    the bytes it keeps per value).  The affine scan charges one node per
-    element its table adds.
+    The bound defaults to default_scan_bound when S is numerical; else it
+    must be given, unless allow_default permits the default of 120.  It
+    must be a nonnegative int.  The verdict is exact only when S is
+    numerical and the bound reaches the default; any other scan is
+    evidence only.  Lengths come from a dynamic program, independent of
+    the factorization search used elsewhere.  Unless all_counterexamples
+    is set, the scan stops at the first failure.  In dimension 1 the scan
+    checks s + m for each s in S up to the bound, filling L (or l) in the
+    loop that checks it.  It charges one node per value 0..bound+m before
+    it starts, and its checked is a read-only view of the values and
+    lengths (budget.py gives its bytes per node).  In higher dimension it
+    scans grading values up to the bound, from a table that charges one
+    node per element it adds.
     """
     formula = _as_formula(formula)
     if S.generator_index(m) is None:
@@ -365,12 +348,20 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         not isinstance(bound, int) or isinstance(bound, bool) or bound < 0
     ):
         raise SgflError(f"scan bound must be a nonnegative integer, got {bound!r}")
-
-    if S.is_numerical:
-        exact_bound = default_scan_bound(S, formula)
-        if bound is None:
+    exact_bound = default_scan_bound(S, formula) if S.is_numerical else None
+    if bound is None:
+        if exact_bound is not None:
             bound = exact_bound
-        exact = bound >= exact_bound
+        elif allow_default:
+            bound = 120
+        else:
+            raise MissingBoundError(
+                "scans of a semigroup that is not numerical need an explicit "
+                "bound (or allow_default=True)"
+            )
+    exact = exact_bound is not None and bound >= exact_bound
+
+    if S.dim == 1:
         top = bound + m_elt
         BudgetMeter(budget).spend(top + 1)
         # best[pad + v] = L(v) (or l(v)); shifts yields entry v - m at v.
@@ -391,21 +382,13 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
         del best[:pad]
         checked = _ScanChecks(elements, best, m_elt)
     else:
-        if bound is None:
-            if not allow_default:
-                raise MissingBoundError(
-                    "affine scans need an explicit bound (or allow_default=True)"
-                )
-            bound = 120
-        exact = False
         wm = S.grading_value(m_elt)
         table, layers = _length_tables_affine(S, bound + wm, formula, budget)
         in_range = [s for w in range(bound + 1) for s in layers.get(w, ())]
-        m_vec = S.vector(m_elt)
         checked = []
         counterexamples = []
         for s in sorted(in_range):
-            shifted = tuple(map(add, s, m_vec))
+            shifted = tuple(map(add, s, m_elt))
             check = _new_check((shifted, table[shifted], table[s] + 1))
             checked.append(check)
             if not check.ok:

@@ -15,7 +15,7 @@ on different machinery than the library paths they check:
   d_(c) and b_{(c),(c')} from their defining sums, against
   structure_constants and in the Kunz inequalities of the scan;
 * length_dp: a full L / l table by generator-outer passes, against the
-  numerical oracle_scan, which computes its lengths inside the scan loop
+  dimension-1 oracle_scan, which computes its lengths inside the scan loop
   and stops at the first counterexample;
 * m_factorization: the lexicographically first factorization of m over
   the coordinate elements of a Kunz point by plain enumeration, against
@@ -30,7 +30,9 @@ on different machinery than the library paths they check:
 
 The Kunz scan builds the round trip of every point with the face cache
 off and compares it, field by field and verdict by verdict, with the
-point the cache served.
+point the cache served.  At every m-atom point with m <= 6, and at a
+seeded sample of those with m = 7, it also records the exact oracle_scan
+verdicts beside the polytope and criterion verdicts.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from sgfl.kunz import (
 )
 from sgfl.minrepl import candidate_sets, min_repl
 from sgfl.semigroups import minimal_generating_subset, new_semigroup
-from sgfl.verdicts import check_formula
+from sgfl.verdicts import check_formula, oracle_scan
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 200
@@ -280,8 +282,6 @@ def minrepl_box_results(corpus):
 @pytest.fixture(scope="session")
 def corpus_verdict_results(corpus):
     """check_formula vs oracle_scan at the candidate atoms, both formulas."""
-    from sgfl.verdicts import oracle_scan
-
     results = []
     for S in corpus:
         for formula, m in (("longest", S.atoms[0]), ("shortest", S.atoms[-1])):
@@ -401,6 +401,9 @@ class ScanRecord:
     iterated_inequality: bool = True
     d_identity: bool = True
     matches_cache_off: bool = False
+    # formula -> (Kunz, criterion, oracle) holds bits, at the points where
+    # the scan runs the exact oracle_scan (see run_oracle).
+    routes: dict | None = None
 
 
 POINT_FIELDS = (
@@ -474,6 +477,11 @@ def scan_one_point(args):
             definitional_threshold(m, c, c2),
         ):
             record.d_identity = False
+    # The exact oracle runs at every point with m <= 6 and at a seeded
+    # sample of about 1/11 of the m = 7 points (the oracle at every m = 7
+    # point would add about 13 s of CPU).  Drawn after the checks above,
+    # so their draws are the same with or without the sample.
+    run_oracle = m <= 6 or rng.random() < 1 / 11
 
     if not record.m_atom_matches:
         return record
@@ -518,14 +526,21 @@ def scan_one_point(args):
                 ok = False
     record.sq_matches_divides = ok
 
-    record.agree_longest = (
-        verdicts["longest"].holds
-        == check_formula(S, m, "longest", report=report).holds
-    )
-    record.agree_shortest = (
-        verdicts["shortest"].holds
-        == check_formula(S, m, "shortest", report=report).holds
-    )
+    criterion = {
+        formula: check_formula(S, m, formula, report=report).holds
+        for formula in ("longest", "shortest")
+    }
+    record.agree_longest = verdicts["longest"].holds == criterion["longest"]
+    record.agree_shortest = verdicts["shortest"].holds == criterion["shortest"]
+    if run_oracle:
+        record.routes = {
+            formula: (
+                verdicts[formula].holds,
+                criterion[formula],
+                oracle_scan(S, m, formula).holds,
+            )
+            for formula in ("longest", "shortest")
+        }
     return record
 
 

@@ -254,6 +254,72 @@ def test_criterion_7_kunz_direct_equivalence(kunz_scan):
     assert not bad
 
 
+def test_criterion_7_three_routes_agree_on_the_kunz_scan(kunz_scan):
+    # Every m-atom point with m <= 6 and a seeded sample at m = 7 carry the
+    # exact oracle_scan beside the polytope and criterion verdicts.  The
+    # atom m = n1 is the candidate atom of the longest formula only; the
+    # oracle's exactness for the shortest formula there rests on the
+    # default scan bound reaching past every exception at a non-candidate
+    # atom, which is evidence, not proof.
+    sampled = [r for r in kunz_scan if r.routes is not None]
+    bad = [
+        (r.m, r.coords, formula, bits)
+        for r in sampled
+        for formula, bits in r.routes.items()
+        if len(set(bits)) != 1
+    ]
+    every = sum(r.m <= 6 for r in sampled)
+    at_7 = sum(r.m == 7 for r in sampled)
+    count = 2 * len(sampled)
+    holding = sum(bits[0] for r in sampled for bits in r.routes.values())
+    _line(
+        "criterion 7 three-way (polytope vs criterion vs exact oracle)",
+        not bad,
+        f"{every} points at m<=6, {at_7} sampled at m=7; {count} verdicts "
+        f"compared, {count - len(bad)} agree ({holding} hold, "
+        f"{count - holding} fail), {len(bad)} disagreements; shortest at "
+        "m=n1 is not a candidate atom, so its oracle exactness is evidence "
+        "only",
+    )
+    assert every == sum(r.m <= 6 and r.m_atom for r in kunz_scan) == 11139
+    assert at_7 > 3000
+    assert not bad
+
+
+def test_least_counterexample_agrees_across_routes(corpus_verdict_results):
+    # Each failing verdict of the corpus at its candidate atom: the
+    # criterion's first counterexample, the oracle's first one and the
+    # least evaluation ev(c) over the violated Kunz inequalities are the
+    # same element.
+    shared = 0
+    mismatches = []
+    failing = [
+        (S, formula, m)
+        for S, formula, m, check, oracle in corpus_verdict_results
+        if not check
+    ]
+    for S, formula, m in failing:
+        point = point_of_semigroup(m, S)
+        kunz = main_verdict(point, formula)
+        firsts = (
+            check_formula(S, m, formula).counterexamples[0].element,
+            oracle_scan(S, m, formula).counterexamples[0].element,
+            min(point.evaluations[c.c] for c in kunz.counterexamples),
+        )
+        if len(set(firsts)) == 1:
+            shared += 1
+        else:
+            mismatches.append((S.atoms, formula, firsts))
+    _line(
+        "criterion 6 least counterexample (criterion vs oracle vs Kunz)",
+        not mismatches,
+        f"{shared} of {len(failing)} failing verdicts share their least "
+        "counterexample",
+    )
+    assert len(failing) >= 100
+    assert not mismatches
+
+
 def test_criterion_8_structural_suites(kunz_scan):
     failures = []
 

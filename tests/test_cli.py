@@ -137,6 +137,21 @@ def test_analyze_file_input(capsys, schema, tmp_path):
     assert len(report["result"][1]["verdicts"]) == 6
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_analyze_file_that_cannot_be_read_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "semigroups.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"gens=6,9,20\n# \xff\xfe\n")
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["schema"] == "sgfl/1"
+    assert error["error"] == "SgflError"
+
+
 WIDE_PLANE = "(3,0),(7,0),(11,0),(6,1),(0,3)"
 
 
@@ -385,6 +400,11 @@ def test_input_errors_exit_2(capsys):
           "--formula", "longest", "--method", "embdim3"), None),
         (("verdict", "--gens", "6,9,20", "--m", "6",
           "--formula", "shortest", "--method", "embdim3"), None),
+        # Text outside the comma-separated (...) groups is refused.
+        (("analyze", "--gens", "(1,2),(3"), None),
+        (("analyze", "--gens", "(2,0)x(0,3)junk(3,1)"), None),
+        (("verdict", "--gens", "(2,0),(3,1),(0,5)", "--m", "(2,0",
+          "--formula", "longest"), None),
     ],
 )
 def test_malformed_numbers_exit_2(capsys, monkeypatch, argv, env):
@@ -414,3 +434,23 @@ def test_oracle_subcommand(capsys, schema):
     jsonschema.validate(report, schema)
     assert report["result"]["exact"] is False
     assert report["result"]["bound"] == 120
+
+
+def test_oracle_on_a_dimension_1_semigroup_with_gcd_above_1(capsys, schema):
+    # Dimension-1 elements are ints whatever the gcd, so the checks of
+    # <4, 6> print "element": 4, not "element": [4].
+    code, out, _ = run_cli(
+        capsys, "oracle", "--gens", "4,6", "--m", "4",
+        "--formula", "longest", "--bound", "8",
+    )
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert '"element": 4,' in out
+    assert report["result"]["checked"] == [
+        {"element": 4, "shifted": 1, "value": 1},
+        {"element": 8, "shifted": 2, "value": 2},
+        {"element": 10, "shifted": 2, "value": 2},
+        {"element": 12, "shifted": 3, "value": 3},
+    ]
+    assert report["result"]["exact"] is False

@@ -241,7 +241,7 @@ def test_affine_oracle_scan_huge_bound_trips_budget_small(plane):
 
 
 def _expected_scan(S, m, formula, bound, all_counterexamples):
-    """(checked, counterexamples) of a numerical scan, from a full table."""
+    """(checked, counterexamples) of a dimension-1 scan, from a full table."""
     table = length_dp(S.atoms, bound + m, formula == "longest")
     checked = []
     for s in range(bound + 1):
@@ -279,6 +279,36 @@ def test_oracle_scan_matches_a_full_length_table(corpus):
             )
             failed += not verdict.holds
     assert failed > 0  # early exits are exercised
+
+
+def test_dimension_1_scan_with_gcd_above_1_takes_the_fused_scan():
+    # Every dimension-1 semigroup is scanned like a numerical one: int
+    # elements, the read-only view of checks, and one node per value
+    # 0..bound+m.  No bound is proved exact off the numerical semigroups,
+    # so exact stays False.
+    failed = 0
+    for gens, bound in (([4, 6], 40), ([9, 12, 15], 60), ([10, 14, 22], 90)):
+        S = new_semigroup(gens)
+        for m, formula, everything in itertools.product(
+            S.atoms, ("longest", "shortest"), (False, True)
+        ):
+            verdict = oracle_scan(S, m, formula, bound=bound,
+                                  all_counterexamples=everything)
+            checked, cexs = _expected_scan(S, m, formula, bound, everything)
+            assert _triples(verdict.checked) == checked, (gens, m, formula)
+            assert _triples(verdict.counterexamples) == cexs
+            assert all(type(c.element) is int for c in verdict.checked)
+            assert not isinstance(verdict.checked, tuple)
+            assert (verdict.m, verdict.bound, verdict.exact) == (m, bound, False)
+            failed += not verdict.holds
+    assert failed > 0
+    S = new_semigroup([4, 6])
+    oracle_scan(S, 4, "longest", bound=8, budget=8 + 4 + 1)
+    with pytest.raises(BudgetExceededError):
+        oracle_scan(S, 4, "longest", bound=8, budget=8 + 4)
+    with pytest.raises(MissingBoundError):
+        oracle_scan(S, 4, "longest")
+    assert oracle_scan(S, 4, "longest", allow_default=True).bound == 120
 
 
 def test_numerical_scan_checks_read_like_a_tuple(chicken):
