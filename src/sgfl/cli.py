@@ -43,15 +43,12 @@ SCHEMA = "sgfl/1"
 # -- input grammar ----------------------------------------------------------
 
 def _ints(text):
-    """The comma-separated integers of text; SgflError on a token that is
-    not an integer or when there are none."""
+    """The comma-separated integers of text; SgflError unless every field,
+    the last one included, is an integer."""
     try:
-        values = [int(p) for p in text.split(",") if p.strip()]
+        return [int(p) for p in text.split(",")]
     except ValueError:
-        values = []
-    if not values:
-        raise SgflError(f"expected integers, got {text!r}")
-    return values
+        raise SgflError(f"expected integers, got {text!r}") from None
 
 
 def _int(text):

@@ -14,6 +14,7 @@ import itertools
 from collections.abc import Iterable
 from math import gcd
 
+from .budget import BudgetMeter
 from .errors import (
     DimensionMismatchError,
     MNotInSError,
@@ -120,9 +121,11 @@ class SemigroupPresentation:
     and apery_set(n1) and frobenius read it too; an Apery set modulo any
     other m is built per call and not kept.
     Higher dimensions use an iterative depth-first search on residual
-    vectors, ordered by decreasing grading value, memoized on the residual.
-    A residual with a negative grading value is rejected immediately, which
-    bounds the search because w(g) >= 1 for every generator.
+    vectors in presentation order, memoized on the residual across
+    queries.  A residual with a negative grading value is rejected
+    immediately, which bounds the search because w(g) >= 1 for every
+    generator.  On a fresh memo the search's path to 0 is the witness
+    that combination_of takes, so it answers its steps from the memo.
 
     Instances are not changed after construction, apart from the table
     modulo n1 and the affine memo, which are deterministic functions of
@@ -143,9 +146,6 @@ class SemigroupPresentation:
         else:
             self.atoms = generators
             self._memo = {}
-            self._gens_dec = sorted(
-                generators, key=lambda g: (-_dot(grading, g), g)
-            )
 
     # -- basic views ----------------------------------------------------
 
@@ -232,12 +232,14 @@ class SemigroupPresentation:
 
     def _table(self, modulus):
         """Least element of S in each residue class modulo modulus; only
-        the table modulo n1 is kept."""
-        if modulus != self._n1:
-            return _least_per_residue(self.atoms, modulus)
-        table = self._least
-        if table is None:
-            table = self._least = _least_per_residue(self.atoms, modulus)
+        the table modulo n1 is kept.  Building one charges modulus nodes
+        to a default budget, so an oversized table fails at once."""
+        if modulus == self._n1 and self._least is not None:
+            return self._least
+        BudgetMeter().spend(modulus)
+        table = _least_per_residue(self.atoms, modulus)
+        if modulus == self._n1:
+            self._least = table
         return table
 
     def _has_int(self, n):
@@ -262,46 +264,28 @@ class SemigroupPresentation:
         if known is not None:
             return known
         grading = self.grading
-        gens = self._gens_dec
+        gens = self.generators
         zero = self._zero
-        # Frame: [vector, next generator index, child awaiting a result].
-        stack = [[vec, 0, None]]
+        # Frame: (residual, iterator over its untried generators).
+        stack = [(vec, iter(gens))]
         while stack:
-            frame = stack[-1]
-            v, idx, pending = frame
-            if pending is not None:
-                if memo[pending]:
-                    memo[v] = True
-                    stack.pop()
-                    continue
-                frame[2] = None
-            resolved = False
-            while idx < len(gens):
-                child = _sub(v, gens[idx])
-                idx += 1
+            v, untried = stack[-1]
+            for g in untried:
+                child = _sub(v, g)
                 if _dot(grading, child) < 0:
                     continue
-                if child == zero:
-                    resolved = True
+                known = memo.get(child)
+                if known or child == zero:
+                    for u, _ in stack:
+                        memo[u] = True
+                    return True
+                if known is None:
+                    stack.append((child, iter(gens)))
                     break
-                hit = memo.get(child)
-                if hit is True:
-                    resolved = True
-                    break
-                if hit is False:
-                    continue
-                frame[1] = idx
-                frame[2] = child
-                stack.append([child, 0, None])
-                break
             else:
                 memo[v] = False
                 stack.pop()
-                continue
-            if resolved:
-                memo[v] = True
-                stack.pop()
-        return memo[vec]
+        return False
 
     # -- numerical-only primitives ---------------------------------------
 

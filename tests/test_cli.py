@@ -351,26 +351,58 @@ def test_budget_exhaustion_exits_2(capsys, monkeypatch, argv, env):
     assert error["error"] == "BudgetExceededError"
 
 
-def test_verdict_with_a_huge_atom_answers_at_once():
-    # The embdim3 check reads targets 12 and 8, so the length table must
-    # not be sized by the atom 10**9 + 1.  The child's address space is
-    # capped at 1 GiB: a table padded by the atom fails there with a
-    # MemoryError instead of taking the machine's memory.
+def _capped_python(code, *args, cap):
+    """Run python -c code args in a child whose address space is capped at
+    cap bytes, so an oversized table fails there with a MemoryError
+    instead of taking the machine's memory."""
     src = os.path.dirname(os.path.dirname(SCHEMA_PATH))
 
     def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from sgfl.cli import main; sys.exit(main(sys.argv[1:]))",
-         "verdict", "--gens", "4,6,1000000001", "--m", "4",
-         "--formula", "longest", "--method", "embdim3"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+_CLI = "import sys; from sgfl.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_verdict_with_a_huge_atom_answers_at_once():
+    # The embdim3 check reads targets 12 and 8, so the length table must
+    # not be sized by the atom 10**9 + 1.
+    proc = _capped_python(
+        _CLI, "verdict", "--gens", "4,6,1000000001", "--m", "4",
+        "--formula", "longest", "--method", "embdim3", cap=1 << 30,
+    )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["holds"] is True
+
+
+def test_a_huge_residue_table_exits_2_at_once():
+    # Whether 10**9 + 1 lies in <10**9> asks for a table of 10**9 residues,
+    # about 8 GB; it is charged to the default budget before it is built.
+    proc = _capped_python(
+        _CLI, "analyze", "--gens", "1000000000,1000000001", cap=600 << 20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "BudgetExceededError"
+
+
+def test_a_huge_apery_set_raises_budget_exceeded_at_once():
+    proc = _capped_python(
+        "from sgfl import BudgetExceededError, new_semigroup\n"
+        "try:\n"
+        "    new_semigroup([2, 3]).apery_set(10**9)\n"
+        "except BudgetExceededError:\n"
+        "    print('BudgetExceededError')\n",
+        cap=600 << 20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "BudgetExceededError\n"
 
 
 def test_input_errors_exit_2(capsys):
@@ -405,6 +437,12 @@ def test_input_errors_exit_2(capsys):
         (("analyze", "--gens", "(2,0)x(0,3)junk(3,1)"), None),
         (("verdict", "--gens", "(2,0),(3,1),(0,5)", "--m", "(2,0",
           "--formula", "longest"), None),
+        # Every comma-separated field is an integer, the last one too.
+        (("kunz", "point", "--m", "5", "--x", "0,1,,2,1,2"), None),
+        (("analyze", "--gens", "6,,9,20,"), None),
+        (("analyze", "--gens", "6,9,20,"), None),
+        (("minrepl", "--gens", "5,6,8", "--m", "5,,"), None),
+        (("analyze", "--gens", "(2,0),(3,1,),(0,5)"), None),
     ],
 )
 def test_malformed_numbers_exit_2(capsys, monkeypatch, argv, env):

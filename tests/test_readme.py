@@ -5,7 +5,7 @@ expression whose line ends in a `# <literal>` comment must equal that
 literal (a comment such as `# False: L(48)=4 ...` states the literal
 before its explanation).  Each `sgfl ...` line of the command-line block
 runs in-process, with its bracketed optional flags dropped, and must
-exit 0.
+exit 0.  The layout block names every module of the package.
 """
 
 import ast
@@ -80,3 +80,15 @@ def test_command_line_examples_exit_0(capsys):
         captured = capsys.readouterr()
         assert code == 0, (line, captured.err)
         assert captured.out
+
+
+def test_layout_names_every_module():
+    package = os.path.join(os.path.dirname(README), "src", "sgfl")
+    layout = _block("Layout", "")
+    missing = [
+        name
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py") and name != "__init__.py"
+        and f"src/sgfl/{name} " not in layout
+    ]
+    assert not missing

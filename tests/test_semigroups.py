@@ -273,6 +273,37 @@ def test_affine_combination_sums_back_to_its_value():
             assert total == v, (S, v, counts)
 
 
+def _greedy_witness(v, gens, span):
+    """Counts that take, at each step, the first generator in presentation
+    order whose removal stays in span; span must hold v's residuals."""
+    counts = [0] * len(gens)
+    while any(v):
+        for i, g in enumerate(gens):
+            child = tuple(a - b for a, b in zip(v, g))
+            if child in span:
+                counts[i] += 1
+                v = child
+                break
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_affine_combination_takes_the_first_generator_that_stays_in_s(warm):
+    # Warm: the memo first answers contains over the box in shuffled order.
+    rng = random.Random(25)
+    for S in _affine_cases():
+        span = affine_span(S.generators, S.grading, AFFINE_WBOUND)
+        box = _graded_box(S, AFFINE_WBOUND, AFFINE_WBOUND)
+        rng.shuffle(box)
+        if warm:
+            for v in box:
+                S.contains(v)
+        for v in box:
+            T = S if warm else new_semigroup(S.generators, dim=S.dim)
+            expected = _greedy_witness(v, S.generators, span) if v in span else None
+            assert T.combination_of(v) == expected, (S, v)
+
+
 def test_affine_non_atom_names_its_witness():
     with pytest.raises(NotMinimalError) as info:
         new_semigroup([(2, 0), (3, 1), (5, 1)], dim=2)
