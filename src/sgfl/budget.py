@@ -12,8 +12,9 @@ length is at most 256, as at m = 9899 in <100, 101, 9899>, it is at most
 24 bytes per check.
 
 A dimension-1 residue table modulo m (membership, apery_set, frobenius)
-is charged m nodes to a default meter before it is allocated, so a table
-beyond DEFAULT_BUDGET residues fails at once instead of exhausting memory.
+is charged m nodes to a fresh meter with the budget given to
+new_semigroup (DEFAULT_BUDGET when none is) before it is allocated, so a
+table beyond the budget fails at once instead of exhausting memory.
 Under tracemalloc on CPython 3.11 it keeps 40 bytes per node, an 8-byte
 slot and a 32-byte int per residue, and peaked at 44 while being built
 (<100000, 100003> modulo 100000).

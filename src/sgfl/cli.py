@@ -7,9 +7,8 @@ Exit codes: 0 success, 1 a requested verdict failed under --assert-holds
 (or an example row mismatched), 2 usage or input errors.
 """
 
-from __future__ import annotations
-
 import argparse
+import enum
 import functools
 import json
 import os
@@ -18,24 +17,6 @@ import sys
 
 from .budget import DEFAULT_BUDGET
 from .errors import SgflError
-from .examples_suite import run_rows
-from .lengths import length_summary
-from .kunz import (
-    kunz_point,
-    main_verdict,
-    pseudomin,
-    require_same_face,
-    semigroup_of_point,
-)
-from .minrepl import candidate_sets, min_repl
-from .semigroups import new_semigroup
-from .verdicts import (
-    Formula,
-    candidate_atoms,
-    check_formula,
-    embdim3_check,
-    oracle_scan,
-)
 
 SCHEMA = "sgfl/1"
 
@@ -77,9 +58,11 @@ def parse_generators(text, dim=None):
     return gens, inferred
 
 
-def _semigroup(text, dim):
+def _semigroup(text, dim, budget):
+    from .semigroups import new_semigroup
+
     gens, inferred = parse_generators(text, dim)
-    return new_semigroup(gens, dim=dim or inferred)
+    return new_semigroup(gens, dim=dim or inferred, budget=budget)
 
 
 def parse_element(text, dim):
@@ -94,7 +77,7 @@ def parse_element(text, dim):
     return tuple(_ints(text))
 
 
-def parse_semigroup_line(line):
+def parse_semigroup_line(line, budget=None):
     """One semigroup per line: `dim=<d>; gens=(a,b),(c,d)` or `gens=...`."""
     dim = None
     gens_text = None
@@ -112,7 +95,7 @@ def parse_semigroup_line(line):
             raise SgflError(f"unknown field {key!r} in input line {line!r}")
     if gens_text is None:
         raise SgflError(f"input line {line!r} has no gens= field")
-    return _semigroup(gens_text, dim)
+    return _semigroup(gens_text, dim, budget)
 
 
 # -- serialization ----------------------------------------------------------
@@ -124,7 +107,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in sorted(value)]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, Formula):
+    if isinstance(value, enum.Enum):
         return value.value
     return value
 
@@ -238,6 +221,10 @@ def _verdict_rows_pretty(verdicts):
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_analyze(args):
+    from .lengths import length_summary
+    from .minrepl import min_repl
+    from .verdicts import Formula, candidate_atoms, check_formula
+
     semigroups = []
     if args.file:
         try:
@@ -248,9 +235,9 @@ def _cmd_analyze(args):
         for line in lines:
             line = line.strip()
             if line and not line.startswith("#"):
-                semigroups.append(parse_semigroup_line(line))
+                semigroups.append(parse_semigroup_line(line, args.budget))
     if args.gens:
-        semigroups.append(_semigroup(args.gens, args.dim))
+        semigroups.append(_semigroup(args.gens, args.dim, args.budget))
     if not semigroups:
         raise SgflError("analyze needs --gens or --file")
 
@@ -304,9 +291,11 @@ def _cmd_analyze(args):
 
 
 def _cmd_minrepl(args):
+    from .minrepl import candidate_sets, min_repl
+
     if args.output == "tsv":
         raise SgflError("minrepl reports are not flat; use json or pretty")
-    S = _semigroup(args.gens, args.dim)
+    S = _semigroup(args.gens, args.dim, args.budget)
     m = parse_element(args.m, S.dim)
     report = candidate_sets(S, m, min_repl(S, m, budget=args.budget))
     if args.output == "pretty":
@@ -320,7 +309,9 @@ def _cmd_minrepl(args):
 
 
 def _cmd_verdict(args):
-    S = _semigroup(args.gens, args.dim)
+    from .verdicts import check_formula, embdim3_check, oracle_scan
+
+    S = _semigroup(args.gens, args.dim, args.budget)
     m = parse_element(args.m, S.dim)
     if args.method == "embdim3":
         verdict = embdim3_check(S, args.formula, budget=args.budget)
@@ -347,6 +338,14 @@ def _cmd_verdict(args):
 
 
 def _cmd_kunz(args):
+    from .kunz import (
+        kunz_point,
+        main_verdict,
+        pseudomin,
+        require_same_face,
+        semigroup_of_point,
+    )
+
     if args.output != "json":
         raise SgflError("kunz reports are not flat; use json output")
     point = kunz_point(args.m, _ints(args.x), budget=args.budget)
@@ -378,6 +377,8 @@ def _cmd_kunz(args):
 
 
 def _cmd_paper_examples(args):
+    from .examples_suite import run_rows
+
     if args.output == "tsv":
         raise SgflError("example reports are not flat; use json or pretty")
     rows = run_rows(budget=args.budget)

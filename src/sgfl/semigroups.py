@@ -132,11 +132,12 @@ class SemigroupPresentation:
     the presentation.
     """
 
-    def __init__(self, generators, dim, grading, generator_gcd):
+    def __init__(self, generators, dim, grading, generator_gcd, budget=None):
         self.dim = dim
         self.generators = generators  # tuple of coordinate tuples
         self.grading = grading
         self.gcd = generator_gcd  # None unless dim == 1
+        self._budget = budget  # for each residue table; None: DEFAULT_BUDGET
         self._zero = (0,) * dim
         # self.atoms: the generators as elements (ints when dim == 1).
         if dim == 1:
@@ -233,10 +234,11 @@ class SemigroupPresentation:
     def _table(self, modulus):
         """Least element of S in each residue class modulo modulus; only
         the table modulo n1 is kept.  Building one charges modulus nodes
-        to a default budget, so an oversized table fails at once."""
+        to a fresh meter with the presentation's budget, so an oversized
+        table fails at once."""
         if modulus == self._n1 and self._least is not None:
             return self._least
-        BudgetMeter().spend(modulus)
+        BudgetMeter(self._budget).spend(modulus)
         table = _least_per_residue(self.atoms, modulus)
         if modulus == self._n1:
             self._least = table
@@ -309,12 +311,12 @@ class SemigroupPresentation:
         return max(self._table(self._n1)) - self._n1
 
 
-def _non_atoms(vecs, dim, grading):
+def _non_atoms(vecs, dim, grading, budget=None):
     """Yield (v, span of the others) for each v in vecs that lies in it."""
     for i, v in enumerate(vecs):
         others = tuple(vecs[:i] + vecs[i + 1 :])
         if others:
-            span = SemigroupPresentation(others, dim, grading, None)
+            span = SemigroupPresentation(others, dim, grading, None, budget)
             if span._has(v):
                 yield v, span
 
@@ -338,14 +340,16 @@ def minimal_generating_subset(vectors, dim):
     return [v for v in seen if v not in dropped]
 
 
-def new_semigroup(generators, dim=None):
+def new_semigroup(generators, dim=None, budget=None):
     """Validate a generator list and return a presentation.
 
     The grading functional is found automatically: w = (1, ..., 1) when that
     is positive on every generator, otherwise the smallest integer box
     containing a positive functional is searched.  Each generator is
     confirmed to be an atom; otherwise NotMinimal reports a witness
-    combination over the other generators.
+    combination over the other generators.  Each dimension-1 residue
+    table, those of that check included, charges its modulus to a fresh
+    meter of budget nodes (None: DEFAULT_BUDGET).
     """
     try:
         generators = list(generators)
@@ -372,8 +376,9 @@ def new_semigroup(generators, dim=None):
         if v in vecs[:i]:
             raise NotMinimalError(_as_element(v, dim), "a duplicate generator")
 
+    BudgetMeter(budget)  # refuses a budget that is not a positive int
     grading = _find_grading(vecs, dim)
-    for v, others in _non_atoms(vecs, dim, grading):
+    for v, others in _non_atoms(vecs, dim, grading, budget):
         witness = others.combination_of(v)
         parts = [f"{c}*{a}" for c, a in zip(witness, others.atoms) if c]
         raise NotMinimalError(_as_element(v, dim), " + ".join(parts))
@@ -383,5 +388,5 @@ def new_semigroup(generators, dim=None):
         generator_gcd = 0
         for v in vecs:
             generator_gcd = gcd(generator_gcd, v[0])
-    return SemigroupPresentation(tuple(vecs), dim, grading, generator_gcd)
+    return SemigroupPresentation(tuple(vecs), dim, grading, generator_gcd, budget)
 

@@ -311,7 +311,12 @@ def _length_tables_affine(S, wbound, formula, budget):
 
 
 def default_scan_bound(S, formula):
-    """Scan range beyond which the formula is guaranteed (numerical only)."""
+    """Scan range beyond which the formula is guaranteed (numerical only).
+
+    Proved at the candidate atom (Barron, O'Neill & Pelayo, Math. Comp.
+    2017).  At any other atom it rests on evidence: a census of genus <= 12
+    found no formula holding at a non-candidate atom in 16,526 verdicts.
+    """
     formula = _as_formula(formula)
     S._require_numerical()
     gens = S.atoms
@@ -330,7 +335,8 @@ def oracle_scan(S, m, formula, bound=None, allow_default=False,
     must be given, unless allow_default permits the default of 120.  It
     must be a nonnegative int.  The verdict is exact only when S is
     numerical and the bound reaches the default; any other scan is
-    evidence only.  Lengths come from a dynamic program, independent of
+    evidence only.  exact=True is proved only at the candidate atom (see
+    default_scan_bound).  Lengths come from a dynamic program, independent of
     the factorization search used elsewhere.  Unless all_counterexamples
     is set, the scan stops at the first failure.  In dimension 1 the scan
     checks s + m for each s in S up to the bound, filling L (or l) in the

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,8 @@ MALFORMED = {
     "new_semigroup-bool-dim": (
         DimensionMismatchError, lambda: new_semigroup([2, 3], dim=True)),
     "new_semigroup-not-a-list": (SgflError, lambda: new_semigroup(5)),
+    "new_semigroup-float-budget": (
+        SgflError, lambda: new_semigroup([2, 3], budget=1.5)),
     "kunz_point-coords-None": (
         NotIntegerPointError, lambda: kunz_point(5, None)),
     "kunz_point-bool-coordinate": (
@@ -278,16 +281,12 @@ def test_every_sgfl_name_the_benchmark_reads_exists():
 # import, so a new import (fractions, say) must be a decision, made here.
 # Submodules count under their top-level name; names starting with "_"
 # are C helpers of the modules listed.
-LAUNCH_MODULES = {
-    "__future__", "argparse", "array", "ast", "copy", "dataclasses", "dis",
-    "gettext", "heapq", "importlib.machinery", "inspect", "json",
-    "linecache", "opcode", "sgfl", "token", "tokenize",
-}
+LAUNCH_MODULES = {"argparse", "gettext", "json", "sgfl"}
 # Standard modules sgfl imports that the site start-up here already holds;
 # importing them before the snapshot keeps the check independent of it.
 SITE_MODULES = (
-    "collections.abc, enum, functools, itertools, math, operator, os, re, "
-    "types, typing"
+    "collections.abc, enum, functools, importlib, itertools, math, operator, "
+    "os, re, types, typing"
 )
 
 
@@ -314,3 +313,77 @@ def test_launch_loads_no_module_beyond_todays_set():
         and name.partition(".")[0] not in LAUNCH_MODULES
     ]
     assert extra == []
+
+
+def _run_fresh(code, *args):
+    """Run python -c code args with this checkout's sgfl first on the path;
+    its stdout read as a Python literal."""
+    src = str(Path(sgfl.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1])\n"
+         + code, src, *args],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return ast.literal_eval(proc.stdout)
+
+
+SGFL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'sgfl')"
+
+
+def test_launch_loads_the_cli_core_and_analyze_no_kunz_module():
+    code = f"""
+import contextlib, io
+import sgfl, sgfl.cli
+launch = {SGFL_LOADED}
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_code = sgfl.cli.main(["analyze", "--gens", "6,9,20"])
+print((launch, exit_code, {SGFL_LOADED}))
+"""
+    launch, exit_code, after = _run_fresh(code)
+    assert launch == ["sgfl", "sgfl.budget", "sgfl.cli", "sgfl.errors"]
+    assert exit_code == 0
+    assert "sgfl.verdicts" in after
+    assert "sgfl.kunz" not in after
+    assert "sgfl.examples_suite" not in after
+
+
+def test_lazy_names_are_the_owning_modules_objects():
+    code = f"""
+import json, types
+import sgfl
+names = json.loads(sys.argv[2])
+listed = set(dir(sgfl))
+try:
+    sgfl.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+probed = (hasattr(sgfl, "no_such_name"), {SGFL_LOADED})
+from sgfl import *
+unbound = [n for n in names if n not in globals()]
+owners = [sgfl.budget, sgfl.errors, sgfl.kunz, sgfl.lengths, sgfl.minrepl,
+          sgfl.semigroups, sgfl.verdicts]
+orphans = [
+    n for n in names
+    if getattr(sgfl, n) is not globals()[n]
+    or not any(vars(m).get(n) is globals()[n] for m in owners)
+]
+print((
+    sorted(set(names) - listed), unknown, probed, unbound, orphans,
+    sgfl.check_formula is sgfl.verdicts.check_formula,
+    sgfl.INFINITY is sgfl.kunz.INFINITY,
+    [(m.__name__, isinstance(m, types.ModuleType))
+     for m in (sgfl.kunz, sgfl.cli, sgfl.examples_suite)],
+))
+"""
+    (missing_from_dir, unknown, probed, unbound, orphans, same_check,
+     same_infinity, submodules) = _run_fresh(code, json.dumps(PUBLIC_NAMES))
+    assert missing_from_dir == []
+    assert unknown == "AttributeError"
+    # An unknown name neither resolves nor loads a submodule.
+    assert probed == (False, ["sgfl"])
+    assert unbound == []
+    assert orphans == []
+    assert same_check and same_infinity
+    assert submodules == [("sgfl.kunz", True), ("sgfl.cli", True),
+                          ("sgfl.examples_suite", True)]

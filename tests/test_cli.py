@@ -164,13 +164,13 @@ def test_analyze_repeat_runs_are_byte_identical(capsys):
 
 def test_analyze_solves_each_atom_once(capsys, monkeypatch):
     calls = []
-    original = sgfl.cli.min_repl
+    original = sgfl.minrepl.min_repl
 
     def counting_min_repl(S, m, *args, **kwargs):
         calls.append(m)
         return original(S, m, *args, **kwargs)
 
-    monkeypatch.setattr(sgfl.cli, "min_repl", counting_min_repl)
+    monkeypatch.setattr(sgfl.minrepl, "min_repl", counting_min_repl)
     atoms = [(0, 3), (3, 0), (6, 1), (7, 0), (11, 0)]
     code, out, _ = run_cli(capsys, "analyze", "--gens", WIDE_PLANE)
     assert code == 0
@@ -251,8 +251,9 @@ def test_unflat_output_refused_before_any_work(capsys, monkeypatch, argv):
     def forbidden(*args, **kwargs):
         raise AssertionError("work done before the output check")
 
-    for name in ("kunz_point", "min_repl", "run_rows"):
-        monkeypatch.setattr(sgfl.cli, name, forbidden)
+    for module, name in ((sgfl.kunz, "kunz_point"), (sgfl.minrepl, "min_repl"),
+                         (sgfl.examples_suite, "run_rows")):
+        monkeypatch.setattr(module, name, forbidden)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -281,13 +282,13 @@ def test_kunz_subcommand(capsys, schema):
 
 def test_kunz_cominimal_computes_each_pseudomin_once(capsys, monkeypatch):
     calls = []
-    real = sgfl.cli.pseudomin
+    real = sgfl.kunz.pseudomin
 
     def counting(point):
         calls.append(point.x)
         return real(point)
 
-    monkeypatch.setattr(sgfl.cli, "pseudomin", counting)
+    monkeypatch.setattr(sgfl.kunz, "pseudomin", counting)
     code, out, _ = run_cli(
         capsys, "kunz", "point", "--m", "5", "--x", "0,1,2,1,2",
         "--cominimal", "0,11,22,32,43",
@@ -349,6 +350,17 @@ def test_budget_exhaustion_exits_2(capsys, monkeypatch, argv, env):
     error = json.loads(err)
     assert error["schema"] == "sgfl/1"
     assert error["error"] == "BudgetExceededError"
+
+
+def test_budget_option_reaches_the_residue_tables(capsys, monkeypatch):
+    # Checking that 601 is an atom builds a table of 600 residues, over
+    # the default allowance here but within --budget.
+    monkeypatch.setattr(sgfl.budget, "DEFAULT_BUDGET", 500)
+    code, out, err = run_cli(
+        capsys, "--budget", "10000000", "analyze", "--gens", "600,601",
+    )
+    assert code == 0, err
+    assert json.loads(out)["result"][0]["generators"] == [600, 601]
 
 
 def _capped_python(code, *args, cap):

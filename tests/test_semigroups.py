@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from sgfl.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     MNotInSError,
     NotMinimalError,
@@ -467,6 +468,17 @@ def test_residue_tables_sized_by_queried_span(monkeypatch):
     ctx = numerical_context(3)
     point = kunz_point(ctx, [0, 10**8, 10**8])
     assert semigroup_of_point(ctx, point).atoms == (3, 3 * 10**8 + 1, 3 * 10**8 + 2)
+
+
+def test_residue_tables_charge_the_given_budget():
+    # The minimality check asks whether 601 lies in <600>, which builds a
+    # table of 600 residues; so does the first query n >= 700 on <700>.
+    with pytest.raises(BudgetExceededError):
+        new_semigroup([600, 601], budget=599)
+    assert new_semigroup([600, 601], budget=600).contains(1201)
+    with pytest.raises(BudgetExceededError):
+        new_semigroup([700], budget=699).contains(1400)
+    assert new_semigroup([700], budget=700).contains(1400)
 
 
 def test_apery_sets_modulo_other_atoms_are_not_kept():
