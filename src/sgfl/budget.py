@@ -2,14 +2,25 @@
 
 A budget is a positive int.  Where a search keeps a table, the budget
 bounds its memory too.  The dimension-1 oracle_scan is charged one node
-per value 0..bound+m.  Up to the last value it checks, it keeps an 8-byte
-list slot per value, an 8-byte array slot per check, and a 32-byte int
-object per non-member (its sentinel) and per length above 256.  While it
-fills, it also holds one slot per value below 0 down to minus the
-largest atom in range.  With the lists' growth slack that is at most 60
-bytes per node.  Where nearly every scanned value is checked and every
-length is at most 256, as at m = 9899 in <100, 101, 9899>, it is at most
-24 bytes per check.
+per value 0..bound+m, and its memory depends on its engine (see
+verdicts._by_classes).  Besides one Check record per counterexample:
+
+* The class engine keeps a 4-byte array slot per check (8 from
+  2**32 on) and a 1- or
+  2-byte length per value up to the last one it checks: it runs only
+  where at most SCAN_PASS_VALUES = 1,500 length classes can occur.  That
+  is at most 6.3 bytes per node with the arrays' growth slack.  While it
+  runs it also holds a few bit sets and unpacking buffers of 1/8 to 1
+  byte per value.  Under tracemalloc on CPython 3.11 it peaked at 8.8
+  bytes per node on <100, 101, 9899> at m = 9899 (shortest, lengths
+  above 255) and at 8.2 on the full scans of <1000, 1001>.
+* The per-value engine keeps, up to the last value it checks, an 8-byte
+  list slot per value, a 4-byte array slot per check (8 from 2**32
+  on), and a 32-byte int
+  object per non-member (its sentinel) and per length above 256.  While
+  it fills, it also holds one slot per value below 0 down to minus the
+  largest atom in range.  With the lists' growth slack that is at most
+  60 bytes per node (58.3 at peak on the longest scan of <2, 60001>).
 
 A dimension-1 residue table modulo m (membership, apery_set, frobenius)
 is charged m nodes to a fresh meter with the budget given to

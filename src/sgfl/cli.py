@@ -349,7 +349,7 @@ def _cmd_kunz(args):
     if args.output != "json":
         raise SgflError("kunz reports are not flat; use json output")
     point = kunz_point(args.m, _ints(args.x), budget=args.budget)
-    S = semigroup_of_point(args.m, point)
+    S = semigroup_of_point(args.m, point, budget=args.budget)
     mine = pseudomin(point)
     result = {
         "m": args.m,

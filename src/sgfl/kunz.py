@@ -425,7 +425,8 @@ def semigroup_of_point(m, point, budget=None):
     has s - m outside S, so it is the least element w_a of its residue,
     and w_a = w_b + w_c for nonzero b, c exactly when a = b (+) c is
     composite at the point.  new_semigroup still confirms every atom.
-    Raw coordinates are built with the budget; a KunzPoint must live over m.
+    Raw coordinates are built with the budget, and the presentation's
+    residue tables are charged to it; a KunzPoint must live over m.
     """
     if not isinstance(point, KunzPoint):
         point = kunz_point(m, point, budget=budget)
@@ -434,7 +435,7 @@ def semigroup_of_point(m, point, budget=None):
     gens = _images(point.m, point.x, point.atoms)
     if _m_atom_violation(point) is None:
         gens.append(point.m)
-    return new_semigroup(gens)
+    return new_semigroup(gens, budget=budget)
 
 
 def pinfty_length_extremes(point, beta):

@@ -149,39 +149,72 @@ def _minimal_elements(vectors):
 
 
 def _min_repl_numerical(S, m_vec, c_atoms, meter):
-    """Frontier search over the multiplicity vectors themselves.
+    """Depth-first walk over the multiplicity vectors in lex order.
 
     In dimension 1 every slack move of the general search is admissible
     whenever the defect is positive, so the reachable projections are
     exactly the staircase under the minimal set and the slack walk only
     re-derives what the membership oracle already decides in O(1).  The
-    frontier grows by unit increments from 0 and only non-members expand.
-    Repl is an up-set, so a member is minimal iff every unit step down
-    from it leaves Repl, which is one membership query per coordinate.
-    The frontier stays finite: a non-member has c_i < A_i on every axis,
-    where A_i * e_i is the least replaceable multiple of atom i.
+    walk raises coordinate i only from vectors whose later coordinates are
+    zero, so each vector has one parent (one less in its last nonzero
+    coordinate) and is visited at most once; only non-members are raised.
+    The non-members form a down-set, so every non-member is reached, and
+    so is every minimal member, through its parent.  Repl is an up-set, so
+    a member is minimal iff every unit step down from it leaves Repl, one
+    membership query per coordinate; the step to its parent is known to
+    leave it.  Membership is read straight from the residue table modulo
+    n1.  The walk stays finite: a non-member has c_i < A_i on every axis,
+    where A_i * e_i is the least replaceable multiple of atom i.  One
+    budget node per visited vector.
     """
     m_val = m_vec[0]
     atom_vals = [a[0] for a in c_atoms]
     nc = len(atom_vals)
+    n1 = S._n1
+    # x is in S iff x >= least[x % n1].  Every x read here is a sum of
+    # atoms less m, a multiple of the generators' gcd, so its residue has
+    # an entry; a negative x, and a positive one below n1, is below it.
+    least = S._table(n1)
+    # Nodes are counted here and charged to the meter at the end, or as
+    # soon as they exceed what it has left.
+    allowed = meter.remaining
+    visited = 1  # the zero vector; 0 - m is not in S
     solutions = []
-    frontier = {(0,) * nc: 0}  # vector -> its value
-    while frontier:
-        meter.spend(len(frontier))
-        next_frontier = {}
-        for vec, value in frontier.items():
-            if S.contains(value - m_val):
-                if not any(
-                    vec[i] and S.contains(value - atom_vals[i] - m_val)
-                    for i in range(nc)
-                ):
-                    solutions.append(vec)
-                continue
-            for i in range(nc):
-                child = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
-                if child not in next_frontier:
-                    next_frontier[child] = value + atom_vals[i]
-        frontier = next_frontier
+    counts = [0] * nc
+    value = -m_val  # the value of counts, less m
+    raised = []  # the coordinate raised to reach each open vector
+    next_raise = [0]  # the next coordinate to raise at each open vector
+    while next_raise:
+        i = next_raise[-1]
+        if i == nc:
+            next_raise.pop()
+            if raised:
+                j = raised.pop()
+                counts[j] -= 1
+                value -= atom_vals[j]
+            continue
+        next_raise[-1] = i + 1
+        counts[i] += 1
+        value += atom_vals[i]
+        visited += 1
+        if visited > allowed:
+            meter.spend(visited)
+        if value >= least[value % n1]:
+            # A member; its parent counts - e_i is not, and coordinates
+            # after i are zero.
+            for j in range(i):
+                if counts[j]:
+                    lower = value - atom_vals[j]
+                    if lower >= least[lower % n1]:
+                        break
+            else:
+                solutions.append(tuple(counts))
+            counts[i] -= 1
+            value -= atom_vals[i]
+        else:
+            raised.append(i)
+            next_raise.append(i)
+    meter.spend(visited)
     return tuple(sorted(solutions))
 
 

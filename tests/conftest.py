@@ -23,6 +23,9 @@ on different machinery than the library paths they check:
 * coordinate_atoms: the atoms of <m, w_1, ..., w_{m-1}> and whether m is
   in the span of w_1..w_{m-1}, from membership_table, against the closed
   forms in semigroup_of_point and is_m_atom_point;
+* numerical_semigroups_by_genus: every numerical semigroup up to a
+  genus, from the tree of gap sets with plain integer sets, against the
+  three routes at every atom;
 * oracle_scan against check_formula, which reads dimension-1 lengths
   from lengths.length_table; the table in turn is checked value by value
   against the branch-and-bound search in
@@ -228,6 +231,52 @@ def enumerate_factorizations_box(S, v):
         if total == vec:
             out.append(counts)
     return sorted(out)
+
+
+# -- every numerical semigroup up to a genus ----------------------------------
+
+# Numerical semigroups of genus 0, 1, 2, ... (OEIS A007323).
+SEMIGROUPS_BY_GENUS = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592)
+
+
+def _minimal_generators(gaps):
+    """The minimal generators of the numerical semigroup N minus gaps.
+
+    They lie in [m, F + m + 1] for the multiplicity m and the Frobenius
+    number F (F + m + 1 only for N itself, where F = -1); g there is a
+    generator iff it is no sum of two nonzero members."""
+    frobenius = max(gaps, default=-1)
+    multiplicity = min(v for v in range(1, frobenius + 3) if v not in gaps)
+    top = frobenius + multiplicity + 1
+    members = [v for v in range(1, top + 1) if v not in gaps]
+    member = set(members)
+    return [
+        g for g in members
+        if not any(g - a in member for a in members if a < g)
+    ]
+
+
+def numerical_semigroups_by_genus(max_genus):
+    """Minimal generator lists of every numerical semigroup of genus 1 up
+    to max_genus, a list per genus.
+
+    The tree of numerical semigroups: the children of S remove one of its
+    minimal generators larger than its Frobenius number, and every
+    semigroup of genus g + 1 is the child of exactly one of genus g (add
+    back its Frobenius number).  See Bras-Amoros, Semigroup Forum 2008,
+    and Fromentin & Hivert, Math. Comp. 2016."""
+    level = [frozenset()]
+    out = []
+    for _ in range(max_genus):
+        children = []
+        for gaps in level:
+            frobenius = max(gaps, default=-1)
+            for g in _minimal_generators(gaps):
+                if g > frobenius:
+                    children.append(gaps | {g})
+        level = children
+        out.append([_minimal_generators(gaps) for gaps in level])
+    return out
 
 
 # -- the randomized numerical corpus ---------------------------------------

@@ -12,6 +12,7 @@ stays separate and diagnosable.
 import itertools
 import random
 
+from conftest import SEMIGROUPS_BY_GENUS, numerical_semigroups_by_genus
 from sgfl.kunz import (
     kunz_point,
     main_verdict,
@@ -23,7 +24,12 @@ from sgfl.kunz import (
 from sgfl.lengths import length_summary
 from sgfl.minrepl import candidate_sets, min_repl, repl_contains
 from sgfl.semigroups import new_semigroup
-from sgfl.verdicts import check_formula, embdim3_check, oracle_scan
+from sgfl.verdicts import (
+    candidate_atoms,
+    check_formula,
+    embdim3_check,
+    oracle_scan,
+)
 
 
 def _line(name, ok, detail=""):
@@ -284,6 +290,61 @@ def test_criterion_7_three_routes_agree_on_the_kunz_scan(kunz_scan):
     assert every == sum(r.m <= 6 and r.m_atom for r in kunz_scan) == 11139
     assert at_7 > 3000
     assert not bad
+
+
+CENSUS_GENUS = 12
+# genus -> (semigroups, longest holds, shortest holds, both) at the
+# candidate atoms, from this census.
+CENSUS_HOLDS = {10: (204, 181, 120, 109), 11: (343, 292, 183, 154),
+                12: (592, 498, 313, 265)}
+
+
+def test_three_routes_agree_on_every_semigroup_up_to_genus_12():
+    # No sampling: every numerical semigroup of genus 1..12 (the counts
+    # are OEIS A007323), every atom and both formulas.  No formula holds
+    # at an atom that candidate_atoms excludes; the oracle is exact there
+    # only on that evidence (see default_scan_bound).
+    by_genus = numerical_semigroups_by_genus(CENSUS_GENUS)
+    counts = tuple(len(level) for level in by_genus)
+    ok = counts == SEMIGROUPS_BY_GENUS[1 : CENSUS_GENUS + 1]
+    verdicts = disagreements = off_candidate_holds = 0
+    holds = {}
+    for genus, level in enumerate(by_genus, 1):
+        tally = [len(level), 0, 0, 0]
+        for gens in level:
+            S = new_semigroup(gens)
+            at_candidates = []
+            for m in S.atoms:
+                report = min_repl(S, m)
+                point = point_of_semigroup(m, S)
+                for formula in ("longest", "shortest"):
+                    routes = {
+                        check_formula(S, m, formula, report=report).holds,
+                        main_verdict(point, formula).holds,
+                        oracle_scan(S, m, formula).holds,
+                    }
+                    verdicts += 1
+                    disagreements += len(routes) - 1
+                    if m in candidate_atoms(S, formula):
+                        at_candidates.append(routes == {True})
+                    else:
+                        off_candidate_holds += True in routes
+            tally[1] += at_candidates[0]
+            tally[2] += at_candidates[1]
+            tally[3] += all(at_candidates)
+        holds[genus] = tuple(tally)
+    ok &= verdicts == 16_526 and disagreements == 0
+    ok &= off_candidate_holds == 0
+    ok &= all(holds[g] == CENSUS_HOLDS[g] for g in CENSUS_HOLDS)
+    _line(
+        "census (every numerical semigroup, genus 1..12, all routes)", ok,
+        f"{sum(counts)} semigroups, {verdicts} verdicts, {disagreements} "
+        f"disagreements, {off_candidate_holds} holds off the candidate "
+        f"atoms; per genus {counts}",
+    )
+    assert counts == SEMIGROUPS_BY_GENUS[1 : CENSUS_GENUS + 1]
+    assert (verdicts, disagreements, off_candidate_holds) == (16_526, 0, 0)
+    assert {g: holds[g] for g in CENSUS_HOLDS} == CENSUS_HOLDS
 
 
 def test_least_counterexample_agrees_across_routes(corpus_verdict_results):

@@ -363,6 +363,18 @@ def test_budget_option_reaches_the_residue_tables(capsys, monkeypatch):
     assert json.loads(out)["result"][0]["generators"] == [600, 601]
 
 
+def test_kunz_budget_option_reaches_the_residue_tables(capsys, monkeypatch):
+    # The semigroup of the point, <60, 61, ..., 119>, builds a table of 60
+    # residues, over the default allowance here but within --budget.
+    monkeypatch.setattr(sgfl.budget, "DEFAULT_BUDGET", 50)
+    x = ",".join(["0"] + ["1"] * 59)
+    code, out, err = run_cli(
+        capsys, "--budget", "10000000", "kunz", "point", "--m", "60", "--x", x,
+    )
+    assert code == 0, err
+    assert json.loads(out)["result"]["semigroup"] == list(range(60, 120))
+
+
 def _capped_python(code, *args, cap):
     """Run python -c code args in a child whose address space is capped at
     cap bytes, so an oversized table fails there with a MemoryError

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import sgfl.budget
 from sgfl import kunz
 from sgfl.budget import (
     DEFAULT_BUDGET,
@@ -293,6 +294,20 @@ def test_point_builders_pass_their_budget_through():
             else:
                 with pytest.raises(BudgetExceededError):
                     build()
+
+
+def test_semigroup_of_point_charges_its_residue_tables_to_the_budget(
+    monkeypatch,
+):
+    # The presentation of <60, 61, ..., 119> builds a table of 60 residues,
+    # over the default allowance here but within the caller's budget.
+    monkeypatch.setattr(sgfl.budget, "DEFAULT_BUDGET", 50)
+    point = kunz_point(60, [0] + [1] * 59, budget=10**7)
+    S = semigroup_of_point(60, point, budget=10**7)
+    assert S.atoms == tuple(range(60, 120))
+    assert S.contains(121) and not S.contains(59)
+    with pytest.raises(BudgetExceededError):
+        semigroup_of_point(60, point).contains(121)
 
 
 def test_point_of_semigroup_charges_before_the_apery_table():

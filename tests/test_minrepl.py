@@ -156,10 +156,10 @@ def test_non_positive_budget_raises_sgfl_error():
 # that keeps their results but adds or drops work shows up here.
 SEARCH_NODES = {
     "chicken": [
-        (min_repl, 10, 25),
-        (min_repl, 12, 30),
-        (min_repl, 21, 64),
-        (min_repl, 38, 87),
+        (min_repl, 10, 23),
+        (min_repl, 12, 28),
+        (min_repl, 21, 60),
+        (min_repl, 38, 73),
         (factorizations, 84, 128),
         (longest_length, 84, 36),
         (shortest_length, 84, 38),

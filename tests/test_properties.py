@@ -6,18 +6,26 @@ semigroups and the suite stays deterministic.
 
 import contextlib
 import io
+import itertools
 from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import length_dp
-from sgfl import cli
+from test_verdicts import _expected_scan
+from sgfl import cli, verdicts
 from sgfl.errors import NotMinimalError, SgflError
 from sgfl.lengths import length_table, longest_length
 from sgfl.minrepl import min_repl
 from sgfl.semigroups import minimal_generating_subset, new_semigroup
-from sgfl.verdicts import candidate_atoms, check_formula, oracle_scan
+from sgfl.verdicts import (
+    _ScanChecks,
+    candidate_atoms,
+    check_formula,
+    default_scan_bound,
+    oracle_scan,
+)
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -68,6 +76,42 @@ def test_int_and_tuple_membership_agree(gens):
 def test_length_table_matches_the_coin_change_dp(gens, upto, maximize):
     S = new_semigroup(gens)
     assert length_table(S, upto, maximize) == length_dp(gens, upto, maximize)
+
+
+@st.composite
+def dimension_1_generators(draw):
+    """Minimal generator lists of 2 to 4 atoms up to 24, any gcd."""
+    gens = sorted(draw(st.lists(st.integers(2, 24), min_size=2, max_size=4,
+                                unique=True)))
+    try:
+        new_semigroup(gens)
+    except NotMinimalError:
+        assume(False)
+    return gens
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(dimension_1_generators(), st.integers(0, 400), st.booleans())
+def test_both_dimension_1_scan_engines_match_a_full_length_table(
+    gens, drawn, everything
+):
+    S = new_semigroup(gens)
+    for m, formula in itertools.product(S.atoms, ("longest", "shortest")):
+        bounds = {0, drawn}
+        if S.is_numerical:
+            bounds.add(default_scan_bound(S, formula))
+        for bound in bounds:
+            top = bound + m
+            in_range = [g for g in S.atoms if g <= top]
+            expected = _expected_scan(S, m, formula, bound, everything)
+            for engine in (verdicts._scan_classes, verdicts._scan_values):
+                elements, best, cexs = engine(
+                    in_range, m, top, formula == "longest", everything
+                )
+                got = tuple(_ScanChecks(elements, best, m))
+                assert (got, tuple(cexs)) == expected, (
+                    gens, m, formula, bound, engine.__name__
+                )
 
 
 @st.composite

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import time
 import tracemalloc
 
 import pytest
 
+from sgfl import verdicts
 from sgfl.errors import (
     BudgetExceededError,
     MissingBoundError,
@@ -373,6 +375,81 @@ def test_numerical_scan_memory_ignores_atoms_above_its_range():
         (s, s // 2, s // 2) for s in range(2, 13, 2)
     )
     assert peak < 100_000
+
+
+def _peak_bytes(call):
+    """(result, peak bytes) of call() under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_numerical_scan_keeps_under_12_bytes_per_node():
+    # The class engine keeps a 4-byte slot per check and a 1- or 2-byte
+    # length per value (see budget.py).  The per-value list took 17.5
+    # bytes per node on the first scan and 43.8 on the others.
+    S = new_semigroup([100, 101, 9899])
+    nodes = default_scan_bound(S, "shortest") + 9899 + 1
+    assert nodes > 10**6
+    verdict, peak = _peak_bytes(lambda: oracle_scan(S, 9899, "shortest"))
+    assert verdict.holds and len(verdict.checked) == 994_750
+    assert max(c.value for c in verdict.checked[-10:]) > 255
+    assert peak <= 12 * nodes
+    S = new_semigroup([1000, 1001])
+    for m, formula in ((1000, "longest"), (1001, "shortest")):
+        nodes = default_scan_bound(S, formula) + m + 1
+        verdict, peak = _peak_bytes(
+            lambda: oracle_scan(S, m, formula, all_counterexamples=True)
+        )
+        assert verdict.holds and nodes > 10**6
+        assert peak <= 12 * nodes
+
+
+def _takes_classes(gens, m, formula):
+    S = new_semigroup(gens)
+    top = default_scan_bound(S, formula) + m
+    in_range = [g for g in S.atoms if g <= top]
+    return verdicts._by_classes(in_range, top, formula == "longest",
+                                verdicts._members(in_range, top))
+
+
+def test_scan_engine_choice():
+    # Many classes over a short range: one pass per class would cost far
+    # more than one loop over the values.
+    for gens in ([2, 20001], [2, 60001]):
+        assert not _takes_classes(gens, gens[0], "longest")
+        assert not _takes_classes(gens, gens[1], "shortest")
+    # About 9,800 longest classes; the shortest bound, from the last gap,
+    # allows at most 298 classes where 10,097 values of n1 fit.
+    assert not _takes_classes([100, 101, 9899], 100, "longest")
+    assert _takes_classes([100, 101, 9899], 9899, "shortest")
+    for m, formula in ((1000, "longest"), (1001, "shortest")):
+        assert _takes_classes([1000, 1001], m, formula)
+
+
+def test_class_scan_answers_no_slower_than_the_per_value_loop():
+    # Lengths above 255 take the 2-byte store, unpacked at C speed too.
+    S = new_semigroup([100, 101, 9899])
+    top = default_scan_bound(S, "shortest") + 9899
+    elements, best, cexs = verdicts._scan_classes(
+        list(S.atoms), 9899, top, False, False
+    )
+    assert best.typecode == "H" and max(best) > 255 and not cexs
+    calls = (
+        lambda: oracle_scan(S, 9899, "shortest"),
+        lambda: verdicts._scan_values(list(S.atoms), 9899, top, False, False),
+    )
+    seconds = [float("inf")] * 2
+    for _ in range(2):  # alternating, so a slow spell hits both
+        for i, call in enumerate(calls):
+            started = time.perf_counter()
+            call()
+            seconds[i] = min(seconds[i], time.perf_counter() - started)
+    assert seconds[0] <= seconds[1]
 
 
 AFFINE_SCAN_BOUND = 8
